@@ -14,8 +14,21 @@ operator-basis pairing must factor as M D M^T with D the diagonal of
 fixed-point self-pairings and M triangular with known diagonal.  All
 arithmetic is exact.
 
-The same Gram-solve pattern expands the n-point fixed classes in the
-creation basis on the Hilbert side.
+Every other route is a triangular solve or a product with zeros
+skipped, never a general inverse.  Both M and A are triangular: M along
+the product dominance order, A once each pair is matched with the
+operator key that labels it.  So the operator basis in the curve basis
+(A^-1) and the fixed-point basis in the curve basis (M^-1) are forward
+substitutions, and the operator basis in the fixed-point basis is
+B = A^-1 M.  The fixed-point basis in the operator basis is the
+transpose of B, rescaled by the two diagonal pairings: the
+pairing-transport law B H B^T = Z holds because the Gram solve
+reproduces every entry of A Z A^T, the diagonal by its exact check.
+
+The Hilbert side follows the same pattern: a Gram solve for the curve
+classes in the fixed classes, a forward substitution for the fixed
+classes in the creation basis, and a rescaled transpose for its inverse.
+The Gauss-Jordan ``mat_inv`` stays as the reference oracle for tests.
 
 Degree-level matrices can be persisted as JSON documents with a
 checksum; a version mismatch is a cache miss, a corrupted file is an
@@ -26,6 +39,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -46,7 +61,7 @@ from .fock import (
     translate_pow,
 )
 from .incidence import IncidencePair, enumerate_incidence_pairs, h_pair, h_plus
-from .partitions import Partition, enumerate_partitions, hook_product, remove_part
+from .partitions import Partition, enumerate_partitions, hook_product, remove_part, z_factor
 
 LIBRARY_VERSION = "0.1.0"
 
@@ -70,7 +85,10 @@ def mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fract
 
 
 def mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse by exact Gauss-Jordan elimination; raises on singular input."""
+    """Inverse by exact Gauss-Jordan elimination; raises on singular input.
+
+    The reference oracle that tests compare the triangular routes with.
+    """
     n = len(rows)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(rows)]
@@ -117,6 +135,11 @@ def _pair_sort_key(p: IncidencePair):
 
 def _partition_sort_key(lam: Partition):
     return lam.parts
+
+
+def _order(keys, sort_key) -> list[int]:
+    """Indices of keys listed along the linear extension given by sort_key."""
+    return sorted(range(len(keys)), key=lambda i: sort_key(keys[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +192,6 @@ class TransitionMatrix:
         for key, c in v.items():
             out = out + c * self.expand(key)
         return out
-
-    def inverse(self) -> "TransitionMatrix":
-        return TransitionMatrix(
-            self.target, self.source, self.degree, self.col_keys, self.row_keys,
-            mat_inv([list(r) for r in self.rows]),
-        )
 
     def entry(self, row_key, col_key) -> Fraction:
         return self.rows[self.row_keys.index(row_key)][self.col_keys.index(col_key)]
@@ -321,31 +338,73 @@ def _gram_solve(keys, sort_key, gram, diagonal, weight, label: str):
     M is lower triangular along the given linear extension of the
     keys.  Rows are processed upward; each off-diagonal entry is
     isolated from the pairing with an already-finished row, and each
-    finished row must reproduce its Gram diagonal exactly.
+    finished row must reproduce its Gram diagonal exactly.  Weights are
+    evaluated once per key, and the sums run over the nonzero entries
+    of the row being built only.
     """
-    order = sorted(range(len(keys)), key=lambda i: sort_key(keys[i]))
+    order = _order(keys, sort_key)
+    w = [weight(k) for k in keys]
     m = [[Fraction(0)] * len(keys) for _ in keys]
-    for rank_p, ip in enumerate(order):
-        for rank_q in range(rank_p):
-            iq = order[rank_q]
-            acc = Fraction(0)
-            for rank_t in range(rank_q):
-                it = order[rank_t]
-                if m[ip][it] and m[iq][it]:
-                    acc += m[ip][it] * m[iq][it] * weight(keys[it])
-            m[ip][iq] = (gram[ip][iq] - acc) / (m[iq][iq] * weight(keys[iq]))
-        m[ip][ip] = diagonal(keys[ip])
-        check = Fraction(0)
-        for rank_t in range(rank_p + 1):
-            it = order[rank_t]
-            if m[ip][it]:
-                check += m[ip][it] ** 2 * weight(keys[it])
+    for rank, ip in enumerate(order):
+        row = m[ip]
+        support = []  # columns of the nonzero entries of row ip found so far
+        for iq in order[:rank]:
+            other = m[iq]
+            acc = sum((row[it] * other[it] * w[it] for it in support if other[it]), Fraction(0))
+            val = (gram[ip][iq] - acc) / (other[iq] * w[iq])
+            if val:
+                row[iq] = val
+                support.append(iq)
+        row[ip] = diagonal(keys[ip])
+        support.append(ip)
+        check = sum((row[it] ** 2 * w[it] for it in support), Fraction(0))
         if check != gram[ip][ip]:
             raise ArithmeticError(
                 f"{label}: diagonal consistency failed at {keys[ip]!r}: "
                 f"{check} != {gram[ip][ip]}"
             )
     return m
+
+
+def forward_solve(lower, rhs, order):
+    """Rows X with lower * X = rhs, by forward substitution.
+
+    ``lower`` is square and lower triangular along ``order``, a list of
+    its row indices from first to last; rows and columns share the
+    index set.  Zero entries of ``lower`` and of finished rows of X are
+    skipped.  Raises ArithmeticError on an entry above the diagonal or
+    a zero pivot.
+    """
+    x = [None] * len(order)
+    nonzero = [None] * len(order)
+    for rank, i in enumerate(order):
+        row = lower[i]
+        if not row[i] or any(row[j] for j in order[rank + 1:]):
+            raise ArithmeticError("matrix is not triangular along the given order")
+        acc = list(rhs[i])
+        for j in order[:rank]:
+            c = row[j]
+            if c:
+                for col, v in nonzero[j]:
+                    acc[col] -= c * v
+        pivot = row[i]
+        x[i] = [a / pivot for a in acc]
+        nonzero[i] = [(col, v) for col, v in enumerate(x[i]) if v]
+    return x
+
+
+def _sparse_mul(a, b):
+    """Product a * b of row lists, skipping zero entries of both."""
+    b_nonzero = [[(j, v) for j, v in enumerate(rb) if v] for rb in b]
+    out = []
+    for ra in a:
+        acc = [Fraction(0)] * (len(b[0]) if b else 0)
+        for k, c in enumerate(ra):
+            if c:
+                for j, v in b_nonzero[k]:
+                    acc[j] += c * v
+        out.append(acc)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -367,17 +426,68 @@ def b3_in_b1(n: int) -> TransitionMatrix:
     return TransitionMatrix("b3", "b1", n, pairs, pairs, rows)
 
 
+def _operator_label(pair: IncidencePair) -> B2Key:
+    """Operator-basis key that labels the curve class of a pair.
+
+    mu raises one part of lam of value v (v = 0 when it appends a part
+    1); the label is (v, lam with that part removed), or (0, lam) for
+    v = 0.  This is a bijection onto the operator keys of the degree,
+    and the expansion of each curve class involves only labels of pairs
+    at or before it in enumeration order; forward_solve checks that on
+    every use.
+    """
+    v = pair.value
+    return B2Key(v, remove_part(pair.lam, v) if v else pair.lam)
+
+
+@lru_cache(maxsize=None)
+def b2_in_b3(n: int) -> TransitionMatrix:
+    """Operator basis in the curve basis: A^-1 by forward substitution.
+
+    With its columns relabelled by _operator_label, A = b3_in_b2 is
+    lower triangular along the enumeration order of the pairs.
+    """
+    a = b3_in_b2_matrix(n)
+    col = {k: j for j, k in enumerate(a.col_keys)}
+    label = [col[_operator_label(p)] for p in a.row_keys]
+    lower = [[row[j] for j in label] for row in a.rows]
+    solved = forward_solve(lower, identity_rows(len(label)), list(range(len(label))))
+    rows = [None] * len(label)
+    for r, j in enumerate(label):
+        rows[j] = solved[r]
+    return TransitionMatrix("b2", "b3", n, a.col_keys, a.row_keys, rows)
+
+
 @lru_cache(maxsize=None)
 def b2_in_b1(n: int) -> TransitionMatrix:
-    a = b3_in_b2_matrix(n)
+    """Operator basis in the fixed-point basis: B = A^-1 M, skipping zeros."""
+    a_inv = b2_in_b3(n)
     m = b3_in_b1(n)
-    rows = mat_mul(mat_inv([list(r) for r in a.rows]), [list(r) for r in m.rows])
-    return TransitionMatrix("b2", "b1", n, a.col_keys, m.col_keys, rows)
+    rows = _sparse_mul(a_inv.rows, m.rows)
+    return TransitionMatrix("b2", "b1", n, a_inv.row_keys, m.col_keys, rows)
 
 
 @lru_cache(maxsize=None)
 def b1_in_b2(n: int) -> TransitionMatrix:
-    return b2_in_b1(n).inverse()
+    """Fixed-point basis in the operator basis: C = H B^T Z^-1.
+
+    The Gram solve reproduces A Z A^T = M H M^T exactly, so B H B^T = Z
+    (the pairing-transport law) and the inverse of B is its transpose
+    rescaled by Z = diag z(nu) and H = diag h(lam, mu).
+    """
+    b = b2_in_b1(n)
+    z = [z_factor(k.nu) for k in b.row_keys]
+    h = [h_pair(p) for p in b.col_keys]
+    rows = [[h[i] * b.rows[j][i] / z[j] for j in range(len(z))] for i in range(len(h))]
+    return TransitionMatrix("b1", "b2", n, b.col_keys, b.row_keys, rows)
+
+
+@lru_cache(maxsize=None)
+def b1_in_b3(n: int) -> TransitionMatrix:
+    """Fixed-point basis in the curve basis: M^-1 by forward substitution."""
+    m = b3_in_b1(n)
+    rows = forward_solve(m.rows, identity_rows(len(m.rows)), _order(m.row_keys, _pair_sort_key))
+    return TransitionMatrix("b1", "b3", n, m.col_keys, m.row_keys, rows)
 
 
 def transition_matrix(source: str, target: str, n: int) -> TransitionMatrix:
@@ -396,8 +506,8 @@ def transition_matrix(source: str, target: str, n: int) -> TransitionMatrix:
     if (source, target) == ("b1", "b2"):
         return b1_in_b2(n)
     if (source, target) == ("b2", "b3"):
-        return b3_in_b2_matrix(n).inverse()
-    return b3_in_b1(n).inverse()  # b1 -> b3
+        return b2_in_b3(n)
+    return b1_in_b3(n)
 
 
 def b2_vector_to_b1(v: FockVector, n: int) -> FockVector:
@@ -517,16 +627,33 @@ def hilb_L_in_fixed(n: int) -> TransitionMatrix:
 
 @lru_cache(maxsize=None)
 def hilb_fixed_in_p(n: int) -> TransitionMatrix:
+    """Fixed classes in the creation basis by forward substitution.
+
+    The curve classes in the fixed classes form a triangular matrix, so
+    the fixed classes follow from the curve classes in the creation basis.
+    """
     keys = partition_keys(n)
     m = hilb_L_in_fixed(n)
     lmat = hilb_L_in_p_matrix(n)
-    rows = mat_mul(mat_inv([list(r) for r in m.rows]), [list(r) for r in lmat.rows])
+    rows = forward_solve(m.rows, lmat.rows, _order(keys, _partition_sort_key))
     return TransitionMatrix("hilb_fixed", "hilb_p", n, keys, keys, rows)
 
 
 @lru_cache(maxsize=None)
 def hilb_p_in_fixed(n: int) -> TransitionMatrix:
-    return hilb_fixed_in_p(n).inverse()
+    """Inverse of F = hilb_fixed_in_p as Z F^T diag(hook_product)^-2.
+
+    The Gram solve gives F Z F^T = diag(hook_product^2), the transport of
+    the creation-basis pairing to the fixed-class pairing.
+    """
+    keys = partition_keys(n)
+    f = hilb_fixed_in_p(n)
+    hooks = [hook_product(lam) ** 2 for lam in keys]
+    rows = [
+        [z_factor(nu) * f.rows[j][i] / hooks[j] for j in range(len(keys))]
+        for i, nu in enumerate(keys)
+    ]
+    return TransitionMatrix("hilb_p", "hilb_fixed", n, keys, keys, rows)
 
 
 def fixed_vector_to_p(v: FockVector, n: int) -> FockVector:
@@ -545,10 +672,22 @@ def _cache_path(cache_dir, source: str, target: str, n: int) -> Path:
 
 
 def cache_store(matrix: TransitionMatrix, cache_dir) -> Path:
-    """Write the matrix document; returns the file path."""
+    """Write the matrix document atomically; returns the file path.
+
+    The document goes to a temporary file in the same directory that
+    then replaces the target, so a reader never sees a partial write.
+    """
     path = _cache_path(cache_dir, matrix.source, matrix.target, matrix.degree)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(matrix.to_json_doc(), indent=2) + "\n")
+    # the process and thread ids keep concurrent writers apart
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps(matrix.to_json_doc(), indent=2) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .basis_change import mat_inv, partition_keys
+from .basis_change import forward_solve, identity_rows, partition_keys
 from .fock import B2Key, FockVector
 from .partitions import Partition, z_factor
 from .ring import star_tilde
@@ -70,7 +70,11 @@ def _p_to_m_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _m_to_p_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(r) for r in mat_inv([list(r) for r in _p_to_m_rows(n)]))
+    # p_nu involves only m_lam with lam dominating nu, so the p -> m matrix
+    # is triangular along decreasing lexicographic order
+    keys = partition_keys(n)
+    order = sorted(range(len(keys)), key=lambda i: keys[i].parts, reverse=True)
+    return tuple(tuple(r) for r in forward_solve(_p_to_m_rows(n), identity_rows(len(keys)), order))
 
 
 def m_in_p(lam: Partition) -> FockVector:

@@ -1,11 +1,19 @@
 import json
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import child_env
 from nestfock.basis_change import (
     CacheError,
     TransitionMatrix,
+    _gram_solve,
+    _pair_sort_key,
     b1_in_b2,
     b2_in_b1,
     b3_in_b1,
@@ -13,9 +21,13 @@ from nestfock.basis_change import (
     b3_in_b2_matrix,
     cache_load,
     cache_store,
+    forward_solve,
     gram_b3,
     hilb_fixed_in_p,
+    hilb_L_in_fixed,
     hilb_L_in_p,
+    hilb_L_in_p_matrix,
+    hilb_p_in_fixed,
     identity_rows,
     mat_inv,
     mat_mul,
@@ -24,7 +36,7 @@ from nestfock.basis_change import (
     transition_matrix,
 )
 from nestfock.fock import B2Key, FockVector, pair_b1, pair_b2
-from nestfock.incidence import IncidencePair
+from nestfock.incidence import IncidencePair, h_pair, h_plus
 from nestfock.partitions import Partition, dominance_le
 
 P = Partition
@@ -156,6 +168,96 @@ class TestOperatorInFixed:
                     assert pair_b2(U(x), U(y)) == pair_b1(images[x], images[y])
 
 
+ROUTES = [(s, t) for s in ("b1", "b2", "b3") for t in ("b1", "b2", "b3") if s != t]
+
+
+def rows_of(mat):
+    return [list(r) for r in mat.rows]
+
+
+class TestGaussJordanOracle:
+    """Every route against dense Gauss-Jordan inversion, exactly."""
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("route", ROUTES, ids="-".join)
+    def test_route_matches_oracle(self, route, n):
+        source, target = route
+        mat = transition_matrix(source, target, n)
+        back = transition_matrix(target, source, n)
+        if route == ("b2", "b1"):
+            expected = mat_mul(mat_inv(rows_of(b3_in_b2_matrix(n))), rows_of(b3_in_b1(n)))
+        else:
+            expected = mat_inv(rows_of(back))
+        assert (mat.row_keys, mat.col_keys) == (back.col_keys, back.row_keys)
+        assert rows_of(mat) == expected
+
+    @given(route=st.sampled_from(ROUTES), n=st.integers(0, 6), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_on_random_vectors(self, route, n, data):
+        there = transition_matrix(*route, n)
+        back = transition_matrix(route[1], route[0], n)
+        dim = len(there.row_keys)
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+        v = FockVector(zip(there.row_keys, coeffs))
+        assert back.apply(there.apply(v)) == v
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_hilbert_routes_match_oracle(self, n):
+        fixed_in_p = mat_mul(mat_inv(rows_of(hilb_L_in_fixed(n))), rows_of(hilb_L_in_p_matrix(n)))
+        assert rows_of(hilb_fixed_in_p(n)) == fixed_in_p
+        assert rows_of(hilb_p_in_fixed(n)) == mat_inv(fixed_in_p)
+
+
+class TestForwardSolve:
+    def test_follows_the_given_order(self):
+        upper = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
+        assert forward_solve(upper, identity_rows(2), [1, 0]) == mat_inv(upper)
+
+    def test_entry_above_diagonal_rejected(self):
+        upper = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
+        with pytest.raises(ArithmeticError):
+            forward_solve(upper, identity_rows(2), [0, 1])
+
+    def test_zero_pivot_rejected(self):
+        lower = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
+        with pytest.raises(ArithmeticError):
+            forward_solve(lower, identity_rows(2), [0, 1])
+
+
+class TestGramSolveCheck:
+    """The diagonal check catches any inconsistent off-diagonal Gram entry."""
+
+    @staticmethod
+    def solve(n, gram):
+        return _gram_solve(
+            pair_keys(n),
+            _pair_sort_key,
+            gram,
+            lambda p: Fraction(1, h_plus(p)),
+            lambda p: Fraction(h_pair(p)),
+            f"perturbed({n})",
+        )
+
+    def test_unperturbed_gram_is_consistent(self):
+        assert tuple(tuple(r) for r in self.solve(3, gram_b3(3))) == b3_in_b1(3).rows
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_perturbed_off_diagonal_entry_raises(self, n):
+        # The check is one scalar per row, quadratic in the perturbation, so
+        # it has a blind spot at the second root: +1 on the entry -1 at
+        # degree 2 only flips the sign of one entry of M.  A perturbation
+        # of 1/1000 lies off every such root here.
+        keys = pair_keys(n)
+        order = sorted(range(len(keys)), key=lambda i: _pair_sort_key(keys[i]))
+        for rank_p, ip in enumerate(order):
+            for iq in order[:rank_p]:
+                gram = [list(r) for r in gram_b3(n)]
+                gram[ip][iq] += Fraction(1, 1000)
+                gram[iq][ip] += Fraction(1, 1000)
+                with pytest.raises(ArithmeticError, match="diagonal consistency"):
+                    self.solve(n, gram)
+
+
 class TestTransitionMatrixType:
     def test_identity_and_tags(self):
         mat = transition_matrix("b1", "b1", 3)
@@ -219,6 +321,34 @@ class TestCache:
         doc["version"] = "0.0.0"
         path.write_text(json.dumps(doc))
         assert cache_load("b2", "b1", 1, tmp_path) is None
+
+    def test_concurrent_writers_leave_a_valid_document(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from nestfock.basis_change import b2_in_b1, cache_store\n"
+            "mat = b2_in_b1(4)\n"
+            "for _ in range(40):\n"
+            "    cache_store(mat, sys.argv[1])\n"
+        )
+        writers = [
+            subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=child_env())
+            for _ in range(2)
+        ]
+        mat = b2_in_b1(4)
+        deadline = time.monotonic() + 60
+        try:
+            while any(w.poll() is None for w in writers):
+                assert time.monotonic() < deadline, "writers did not finish"
+                # a partly written document would raise CacheError here
+                loaded = cache_load("b2", "b1", 4, tmp_path)
+                assert loaded is None or loaded == mat
+        finally:
+            for w in writers:
+                if w.poll() is None:
+                    w.kill()
+        assert [w.wait(timeout=10) for w in writers] == [0, 0]
+        assert cache_load("b2", "b1", 4, tmp_path) == mat
+        assert [p.name for p in tmp_path.iterdir()] == ["b2--b1--4.json"]
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "b2--b1--1.json"

@@ -8,12 +8,15 @@ from nestfock.basis_change import (
     fixed_vector_to_p,
     hilb_fixed_in_p,
     hilb_L_in_p,
+    mat_inv,
 )
 from nestfock.fock import B2Key, FockVector
 from nestfock.partitions import Partition, enumerate_partitions, hook_product, z_factor
 from nestfock.ring import pullback_f, star_hilb
 from nestfock.symfunc import (
     PolyVKey,
+    _m_to_p_rows,
+    _p_to_m_rows,
     character,
     hall_pairing,
     induced_product,
@@ -48,6 +51,11 @@ class TestMonomialTransition:
                 for nu, c in m_in_p(lam).items():
                     acc = acc + c * p_in_m(nu)
                 assert acc == U(lam)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_m_to_p_matches_gauss_jordan(self, n):
+        expected = mat_inv([list(r) for r in _p_to_m_rows(n)])
+        assert [list(r) for r in _m_to_p_rows(n)] == expected
 
 
 class TestCharacters:
