@@ -55,7 +55,6 @@ from .fock import (
     creation,
     hilb_annihilation,
     hilb_creation,
-    pair_b2,
     pair_hilb_p,
     translate,
     translate_pow,
@@ -317,15 +316,28 @@ def b3_in_b2_matrix(n: int) -> TransitionMatrix:
 
 @lru_cache(maxsize=None)
 def gram_b3(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Gram matrix of the curve basis under the operator-basis pairing."""
+    """Gram matrix of the curve basis under the operator-basis pairing.
+
+    G = A Z A^T with A = b3_in_b2 and Z = diag z(nu): each weight is
+    evaluated once per operator key, and the sums run over the nonzero
+    entries of A, one operator key at a time.
+    """
     pairs = pair_keys(n)
-    exps = [b3_in_b2(p) for p in pairs]
+    index = {k: j for j, k in enumerate(operator_keys(n))}
+    columns = [[] for _ in index]
+    for a, p in enumerate(pairs):
+        for k, c in b3_in_b2(p).items():
+            columns[index[k]].append((a, c))
     g = [[Fraction(0)] * len(pairs) for _ in pairs]
+    for k, column in zip(index, columns):
+        z = z_factor(k.nu)
+        for i, (a, x) in enumerate(column):
+            xz = x * z
+            for b, y in column[i:]:
+                g[a][b] += xz * y
     for a in range(len(pairs)):
-        for b in range(a, len(pairs)):
-            val = pair_b2(exps[a], exps[b])
-            g[a][b] = val
-            g[b][a] = val
+        for b in range(a):
+            g[a][b] = g[b][a]
     return tuple(tuple(row) for row in g)
 
 

@@ -133,18 +133,6 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return out
 
 
-def arm(lam: Partition, cell: Cell) -> int:
-    if cell not in lam:
-        raise ValueError(f"cell {cell} outside diagram of {lam}")
-    return lam[cell.row] - cell.col - 1
-
-
-def leg(lam: Partition, cell: Cell) -> int:
-    if cell not in lam:
-        raise ValueError(f"cell {cell} outside diagram of {lam}")
-    return lam.conjugate()[cell.col] - cell.row - 1
-
-
 def hook_length(lam: Partition, cell: Cell) -> int:
     """Arm plus leg plus one of a cell inside the diagram."""
     if cell not in lam:

@@ -3,8 +3,18 @@ of the incidence Hilbert scheme, and the two comparison maps.
 
 The normalized product on the fixed-point basis is diagonal with
 eigenvalue (-1)^(n+1) h(lam, mu) at ambient degree n (its n-point
-analog has eigenvalue (-1)^n hook_product(lam)^2); the operator-basis
-product is computed by transport through the fixed-point basis.
+analog has eigenvalue (-1)^n hook_product(lam)^2).  The operator-basis
+product is one contraction over the fixed points t: with
+B = b2_in_b1(n) and the pairing-transport law B H B^T = Z, the
+fixed-point basis in the operator basis is H B^T Z^-1, so
+
+    c_ab^c = (-1)^(n+1) z(c)^-1 sum_t B_at B_bt B_ct h(t)^2.
+
+The full tensor is never stored: each product maps both operands to
+fixed-point coordinates through the sparse rows of B, multiplies them
+pointwise with h(t)^2 and contracts with the rows of B again.  B is
+scaled by the common denominator D of its entries, so the contraction
+runs in integers and each structure constant is one Fraction at the end.
 
 An ordinary cohomology class of the degree-n incidence Hilbert scheme
 is represented by an operator-basis vector of degree n; the key
@@ -21,11 +31,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .basis_change import b2_vector_to_b1, b1_vector_to_b2, operator_keys
+from .basis_change import b2_in_b1, operator_keys
 from .fock import B2Key, FockVector, b2_degree, vector_degree
 from .incidence import IncidencePair, derive_lambda, h_pair
-from .partitions import Partition, add_corner, canonical_generators, hook_product
+from .partitions import Partition, add_corner, canonical_generators, hook_product, z_factor
 
 
 def star_b1(v: FockVector, w: FockVector, n: int) -> FockVector:
@@ -43,6 +54,39 @@ def star_b1(v: FockVector, w: FockVector, n: int) -> FockVector:
     return FockVector(out)
 
 
+@lru_cache(maxsize=None)
+def _contraction_data(n: int):
+    """Degree-n data of the operator-basis product contraction.
+
+    B = b2_in_b1(n) is stored as N / D with N integral: the operator
+    keys and their index, the nonzero entries (t, N_at) of each row,
+    h(t)^2 per fixed point t, the sign (-1)^(n+1) and the denominators
+    z(c) D^3 per operator key c.  The contraction then runs in integers.
+    """
+    b = b2_in_b1(n)
+    den = lcm(*(x.denominator for row in b.rows for x in row))
+    index = {k: a for a, k in enumerate(b.row_keys)}
+    rows = tuple(tuple((t, int(x * den)) for t, x in enumerate(row) if x) for row in b.rows)
+    h2 = tuple(h_pair(p) ** 2 for p in b.col_keys)
+    denoms = tuple(z_factor(k.nu) * den**3 for k in b.row_keys)
+    return b.row_keys, index, rows, h2, (-1) ** (n + 1), denoms
+
+
+def _fixed_coords(v: FockVector, index, rows) -> tuple[dict, int]:
+    """Fixed-point coordinates of an operator-basis vector as (X, d).
+
+    X maps t to the integer d D sum_a v_a B_at, with d the common
+    denominator of the coefficients of v.
+    """
+    d = lcm(*(c.denominator for _, c in v.items()))
+    x: dict = {}
+    for k, c in v.items():
+        m = c.numerator * (d // c.denominator)
+        for t, b in rows[index[k]]:
+            x[t] = x.get(t, 0) + m * b
+    return x, d
+
+
 def star_tilde(v: FockVector, w: FockVector) -> FockVector:
     """Normalized product in the operator basis (degree inferred)."""
     if not v or not w:
@@ -50,8 +94,17 @@ def star_tilde(v: FockVector, w: FockVector) -> FockVector:
     n = vector_degree(v, b2_degree)
     if vector_degree(w, b2_degree) != n:
         raise ValueError("operands live in different graded pieces")
-    prod = star_b1(b2_vector_to_b1(v, n), b2_vector_to_b1(w, n), n)
-    return b1_vector_to_b2(prod, n)
+    keys, index, rows, h2, sign, denoms = _contraction_data(n)
+    x, dx = _fixed_coords(v, index, rows)
+    y, dy = _fixed_coords(w, index, rows)
+    prod = {t: xt * y[t] * h2[t] for t, xt in x.items() if t in y}
+    scale = sign * dx * dy
+    out = []
+    for c, row in enumerate(rows):
+        acc = sum(b * prod[t] for t, b in row if t in prod)
+        if acc:
+            out.append((keys[c], Fraction(acc, denoms[c] * scale)))
+    return FockVector(out)
 
 
 def star_hilb(v: FockVector, w: FockVector, n: int) -> FockVector:

@@ -40,7 +40,6 @@ from .fock import (
     b2_keys,
     loop_action,
     pair_b1,
-    pair_b2,
     pair_hilb_fixed,
 )
 from .incidence import (
@@ -285,16 +284,28 @@ def suite_loop(max_n: int = 6) -> list[CheckResult]:
 
 
 def suite_pairing(max_n: int = 8) -> list[CheckResult]:
-    """Pairing transport between the operator and fixed-point bases."""
+    """Pairing transport between the operator and fixed-point bases.
+
+    Checks B H B^T = Z per degree, with B = b2_in_b1, H = diag h(lam, mu)
+    and Z = diag z(nu): each weight is evaluated once, and the sums run
+    over the nonzero entries of B only, one fixed point t at a time.
+    """
     bad = []
     for n in range(max_n + 1):
         mat = b2_in_b1(n)
-        keys = operator_keys(n)
-        images = [mat.expand(k) for k in keys]
+        keys = mat.row_keys
+        gram = [[Fraction(0)] * len(keys) for _ in keys]
+        for t, pair in enumerate(mat.col_keys):
+            h = h_pair(pair)
+            column = [(a, row[t]) for a, row in enumerate(mat.rows) if row[t]]
+            for i, (a, x) in enumerate(column):
+                xh = x * h
+                for b, y in column[i:]:
+                    gram[a][b] += xh * y
         for a, ka in enumerate(keys):
             for b in range(a, len(keys)):
-                lhs = pair_b2(FockVector.unit(ka), FockVector.unit(keys[b]))
-                rhs = pair_b1(images[a], images[b])
+                lhs = z_factor(ka.nu) if a == b else 0
+                rhs = gram[a][b]
                 if lhs != rhs:
                     bad.append(
                         {

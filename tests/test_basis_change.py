@@ -98,6 +98,11 @@ class TestGram:
         g = gram_b3(2)
         assert [g[i][i] for i in range(4)] == [1, 3, 2, 3]
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_pairwise_pairing(self, n):
+        exps = [b3_in_b2(p) for p in pair_keys(n)]
+        assert gram_b3(n) == tuple(tuple(pair_b2(x, y) for y in exps) for x in exps)
+
 
 class TestCurveInFixed:
     def test_degree_one(self):

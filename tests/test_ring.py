@@ -1,14 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestfock.basis_change import (
     b1_creation,
+    b1_vector_to_b2,
     b2_vector_to_b1,
     fixed_creation,
     operator_keys,
 )
-from nestfock.fock import B2Key, FockVector, pair_b1, pair_hilb_fixed
+from nestfock.fock import B2Key, FockVector, pair_b1, pair_b2, pair_hilb_fixed
 from nestfock.incidence import IncidencePair
 from nestfock.partitions import Partition, enumerate_partitions, hook_product
 from nestfock.ring import (
@@ -69,6 +72,44 @@ class TestStarProducts:
                 sigma = Fraction(1, hook_product(lam)) * U(lam)
                 prod = star_hilb(sigma, sigma, n)
                 assert prod == Fraction((-1) ** n) * hook_product(lam) * sigma
+
+
+def transport_star(v, w, n):
+    """Oracle: the operator-basis product by transport through the fixed points."""
+    return b1_vector_to_b2(star_b1(b2_vector_to_b1(v, n), b2_vector_to_b1(w, n), n), n)
+
+
+class TestStarTildeContraction:
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_transport_on_basis_pairs(self, n):
+        keys = operator_keys(n)
+        for a in keys:
+            for b in keys:
+                assert star_tilde(U(a), U(b)) == transport_star(U(a), U(b), n)
+
+    @given(n=st.integers(0, 5), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_transport_on_random_vectors(self, n, data):
+        keys = operator_keys(n)
+        coeffs = st.lists(st.integers(-3, 3), min_size=len(keys), max_size=len(keys))
+        v = FockVector(zip(keys, data.draw(coeffs)))
+        w = FockVector(zip(keys, data.draw(coeffs)))
+        assert star_tilde(v, w) == transport_star(v, w, n)
+
+    def test_rational_coefficients(self):
+        v = Fraction(1, 3) * U(key(0, [1, 1])) - Fraction(5, 2) * U(key(1, [1]))
+        w = Fraction(-7, 4) * U(key(2, [])) + 2 * U(key(0, [2]))
+        assert star_tilde(v, w) == transport_star(v, w, 2)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_commutative_and_frobenius(self, n):
+        basis = [U(k) for k in operator_keys(n)]
+        table = {(i, j): star_tilde(a, b) for i, a in enumerate(basis) for j, b in enumerate(basis)}
+        for i, a in enumerate(basis):
+            for j, b in enumerate(basis):
+                assert table[i, j] == table[j, i]
+                for k, c in enumerate(basis):
+                    assert pair_b2(table[i, j], c) == pair_b2(a, table[j, k])
 
 
 class TestOrdinaryClass:

@@ -1,0 +1,64 @@
+"""The benchmark's tracer wraps package functions by name; they must exist."""
+
+import importlib
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import child_env, run_cli
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def wrapped_names():
+    tracer = load_tracer()
+    names = []
+    for table in (tracer.SPAN_GROUPS, tracer.LEAF_GROUPS, tracer.COUNT_ONLY):
+        for quals in table.values():
+            names.extend(quals)
+    names += [f"verify.suite_{s}" for s in tracer.VERIFY_SUITES]
+    names += [
+        "verify.run_suite",
+        tracer.TO_JSON_DOC,
+        "basis_change.cache_load",
+        "basis_change.cache_store",
+        "basis_change._cache_path",
+    ]
+    return names
+
+
+@pytest.mark.parametrize("qual", wrapped_names())
+def test_traced_name_resolves(qual):
+    module_name, *attrs = qual.split(".")
+    obj = importlib.import_module(f"nestfock.{module_name}")
+    if len(attrs) == 2:
+        # the tracer reads methods from the class __dict__
+        obj = vars(getattr(obj, attrs[0]))[attrs[1]]
+    else:
+        obj = getattr(obj, attrs[0])
+    assert callable(obj)
+
+
+def test_traced_cli_call_matches_plain_call(tmp_path):
+    args = ["product", "--basis", "ordinary", "-n", "2", "--cache-dir", str(tmp_path)]
+    plain = run_cli(*args, cwd=tmp_path)
+    traced = subprocess.run(
+        [sys.executable, str(TRACER), str(tmp_path / "trace.json"), *args],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env(),
+    )
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    assert (tmp_path / "trace.json").exists()

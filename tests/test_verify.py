@@ -1,0 +1,56 @@
+import json
+from fractions import Fraction
+
+import pytest
+
+from nestfock import verify
+from nestfock.basis_change import TransitionMatrix, b2_in_b1
+from nestfock.incidence import h_pair
+from nestfock.partitions import z_factor
+
+
+def perturbed(n, a, t, delta):
+    """b2_in_b1 with the entry (a, t) of degree n moved by delta."""
+
+    def fake(m):
+        mat = b2_in_b1(m)
+        if m != n:
+            return mat
+        rows = [list(r) for r in mat.rows]
+        rows[a][t] += delta
+        return TransitionMatrix(mat.source, mat.target, m, mat.row_keys, mat.col_keys, rows)
+
+    return fake
+
+
+class TestSuitePairing:
+    def test_passes_unperturbed(self):
+        assert all(r.ok for r in verify.suite_pairing(5))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_perturbed_entry_is_the_counterexample(self, n, monkeypatch):
+        mat = b2_in_b1(n)
+        for a, row in enumerate(mat.rows):
+            for t, x in enumerate(row):
+                if not x:
+                    continue
+                monkeypatch.setattr(verify, "b2_in_b1", perturbed(n, a, t, Fraction(1, 1000)))
+                (res,) = verify.suite_pairing(n)
+                assert not res.ok
+                failures = json.loads(res.detail)
+                key = mat.row_keys[a].as_json_obj()
+                for f in failures:
+                    assert f["degree"] == n
+                    assert key in (f["x"], f["y"])
+                    assert f["lhs"] != f["rhs"]
+                # the diagonal entry of row a moves by (2 x delta + delta^2) h(t)
+                if a == 0:
+                    z = z_factor(mat.row_keys[0].nu)
+                    shift = (2 * x * Fraction(1, 1000) + Fraction(1, 1000) ** 2) * h_pair(mat.col_keys[t])
+                    assert failures[0] == {
+                        "degree": n,
+                        "x": key,
+                        "y": key,
+                        "lhs": str(z),
+                        "rhs": str(z + shift),
+                    }
