@@ -28,6 +28,11 @@ reproduces every entry of A Z A^T, the diagonal by its exact check.
 The Hilbert side follows the same pattern: a Gram solve for the curve
 classes in the fixed classes, a forward substitution for the fixed
 classes in the creation basis, and a rescaled transpose for its inverse.
+Both sides run through the same helpers, which take the weights as
+arguments: ``_expansion_matrix`` (curve classes, row by row),
+``_gram`` (A W A^T), ``_gram_solve``, ``forward_solve``,
+``_transport_inverse`` (the rescaled transpose) and ``_conjugated``
+(an operator carried into fixed-point coordinates).
 The Gauss-Jordan ``mat_inv`` stays as the reference oracle for tests.
 
 Degree-level matrices can be persisted as JSON documents with a
@@ -55,7 +60,6 @@ from .fock import (
     creation,
     hilb_annihilation,
     hilb_creation,
-    pair_hilb_p,
     translate,
     translate_pow,
 )
@@ -145,11 +149,7 @@ def _order(keys, sort_key) -> list[int]:
 # transition matrix value type
 
 def key_to_obj(tag: str, key) -> object:
-    if tag in ("b1", "b3"):
-        return key.as_json_obj()
-    if tag == "b2":
-        return key.as_json_obj()
-    return key.as_list()
+    return key.as_json_obj() if tag in BASIS_TAGS else key.as_list()
 
 
 def key_from_obj(tag: str, obj) -> object:
@@ -167,7 +167,7 @@ class TransitionMatrix:
     p = sum_q rows[p][q] * q.
     """
 
-    __slots__ = ("source", "target", "degree", "row_keys", "col_keys", "rows")
+    __slots__ = ("source", "target", "degree", "row_keys", "col_keys", "rows", "_index")
 
     def __init__(self, source, target, degree, row_keys, col_keys, rows) -> None:
         self.source = source
@@ -180,20 +180,19 @@ class TransitionMatrix:
             len(r) != len(self.col_keys) for r in self.rows
         ):
             raise ValueError("matrix shape does not match key lists")
+        self._index = {k: i for i, k in enumerate(self.row_keys)}
 
     def expand(self, key) -> FockVector:
-        i = self.row_keys.index(key)
-        return FockVector(zip(self.col_keys, self.rows[i]))
+        return FockVector(zip(self.col_keys, self.rows[self._index[key]]))
 
     def apply(self, v: FockVector) -> FockVector:
         """Image of a vector given in source-basis coordinates."""
-        out = FockVector()
+        acc: dict = {}
         for key, c in v.items():
-            out = out + c * self.expand(key)
-        return out
-
-    def entry(self, row_key, col_key) -> Fraction:
-        return self.rows[self.row_keys.index(row_key)][self.col_keys.index(col_key)]
+            for col, x in zip(self.col_keys, self.rows[self._index[key]]):
+                if x:
+                    acc[col] = acc.get(col, 0) + c * x
+        return FockVector(acc)
 
     def __eq__(self, other) -> bool:
         return (
@@ -303,42 +302,48 @@ def b3_in_b2(pair: IncidencePair, *, smallest_shared: bool = False) -> FockVecto
     return result
 
 
+def _expansion_matrix(source, target, n, row_keys, col_keys, expand) -> TransitionMatrix:
+    """Matrix whose row for key k holds the coefficients of expand(k)."""
+    rows = []
+    for k in row_keys:
+        exp = expand(k)
+        rows.append([exp[c] for c in col_keys])
+    return TransitionMatrix(source, target, n, row_keys, col_keys, rows)
+
+
 @lru_cache(maxsize=None)
 def b3_in_b2_matrix(n: int) -> TransitionMatrix:
-    pairs = pair_keys(n)
-    cols = operator_keys(n)
-    rows = []
-    for p in pairs:
-        exp = b3_in_b2(p)
-        rows.append([exp[k] for k in cols])
-    return TransitionMatrix("b3", "b2", n, pairs, cols, rows)
+    return _expansion_matrix("b3", "b2", n, pair_keys(n), operator_keys(n), b3_in_b2)
+
+
+def _gram(a: TransitionMatrix, weight) -> tuple[tuple[Fraction, ...], ...]:
+    """G = A W A^T with W = diag(weight) over the column keys of A.
+
+    Each weight is evaluated once per column key, and the sums run over
+    the nonzero entries of A, one column at a time.
+    """
+    size = len(a.rows)
+    g = [[Fraction(0)] * size for _ in range(size)]
+    for j, key in enumerate(a.col_keys):
+        w = weight(key)
+        column = [(r, row[j]) for r, row in enumerate(a.rows) if row[j]]
+        for i, (r, x) in enumerate(column):
+            xw = x * w
+            for s, y in column[i:]:
+                g[r][s] += xw * y
+    for r in range(size):
+        for s in range(r):
+            g[r][s] = g[s][r]
+    return tuple(tuple(row) for row in g)
 
 
 @lru_cache(maxsize=None)
 def gram_b3(n: int) -> tuple[tuple[Fraction, ...], ...]:
     """Gram matrix of the curve basis under the operator-basis pairing.
 
-    G = A Z A^T with A = b3_in_b2 and Z = diag z(nu): each weight is
-    evaluated once per operator key, and the sums run over the nonzero
-    entries of A, one operator key at a time.
+    G = A Z A^T with A = b3_in_b2 and Z = diag z(nu).
     """
-    pairs = pair_keys(n)
-    index = {k: j for j, k in enumerate(operator_keys(n))}
-    columns = [[] for _ in index]
-    for a, p in enumerate(pairs):
-        for k, c in b3_in_b2(p).items():
-            columns[index[k]].append((a, c))
-    g = [[Fraction(0)] * len(pairs) for _ in pairs]
-    for k, column in zip(index, columns):
-        z = z_factor(k.nu)
-        for i, (a, x) in enumerate(column):
-            xz = x * z
-            for b, y in column[i:]:
-                g[a][b] += xz * y
-    for a in range(len(pairs)):
-        for b in range(a):
-            g[a][b] = g[b][a]
-    return tuple(tuple(row) for row in g)
+    return _gram(b3_in_b2_matrix(n), lambda k: z_factor(k.nu))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +484,19 @@ def b2_in_b1(n: int) -> TransitionMatrix:
     return TransitionMatrix("b2", "b1", n, a_inv.row_keys, m.col_keys, rows)
 
 
+def _transport_inverse(x: TransitionMatrix, row_weight, col_weight) -> TransitionMatrix:
+    """Inverse W_c X^T W_r^-1 of a matrix that transports one diagonal pairing to another.
+
+    X W_c X^T = W_r, with W_r = diag(row_weight) over the row keys and
+    W_c = diag(col_weight) over the column keys of X, makes the rescaled
+    transpose the inverse.
+    """
+    r = [row_weight(k) for k in x.row_keys]
+    c = [col_weight(k) for k in x.col_keys]
+    rows = [[c[i] * x.rows[j][i] / r[j] for j in range(len(r))] for i in range(len(c))]
+    return TransitionMatrix(x.target, x.source, x.degree, x.col_keys, x.row_keys, rows)
+
+
 @lru_cache(maxsize=None)
 def b1_in_b2(n: int) -> TransitionMatrix:
     """Fixed-point basis in the operator basis: C = H B^T Z^-1.
@@ -487,11 +505,7 @@ def b1_in_b2(n: int) -> TransitionMatrix:
     (the pairing-transport law) and the inverse of B is its transpose
     rescaled by Z = diag z(nu) and H = diag h(lam, mu).
     """
-    b = b2_in_b1(n)
-    z = [z_factor(k.nu) for k in b.row_keys]
-    h = [h_pair(p) for p in b.col_keys]
-    rows = [[h[i] * b.rows[j][i] / z[j] for j in range(len(z))] for i in range(len(h))]
-    return TransitionMatrix("b1", "b2", n, b.col_keys, b.row_keys, rows)
+    return _transport_inverse(b2_in_b1(n), lambda k: z_factor(k.nu), h_pair)
 
 
 @lru_cache(maxsize=None)
@@ -522,55 +536,49 @@ def transition_matrix(source: str, target: str, n: int) -> TransitionMatrix:
     return b1_in_b3(n)
 
 
-def b2_vector_to_b1(v: FockVector, n: int) -> FockVector:
-    return b2_in_b1(n).apply(v)
-
-
-def b1_vector_to_b2(v: FockVector, n: int) -> FockVector:
-    return b1_in_b2(n).apply(v)
-
-
 # operators conjugated into fixed-point coordinates
+
+def _conjugated(op, v: FockVector, n: int, n_out: int, to_ops, to_fixed) -> FockVector:
+    """op applied to a degree-n vector in fixed-point coordinates.
+
+    to_ops(n) carries the vector to the operator basis, where op acts,
+    and to_fixed(n_out) carries the image back; a negative n_out means
+    the image is zero.
+    """
+    if not v or n_out < 0:
+        return FockVector()
+    w = op(to_ops(n).apply(v))
+    return to_fixed(n_out).apply(w) if w else FockVector()
+
 
 def b1_creation(m: int, v: FockVector, n: int) -> FockVector:
     """Creation of index m on a degree-n vector in fixed-point coordinates."""
-    if not v:
-        return FockVector()
-    return b2_vector_to_b1(creation(m, b1_vector_to_b2(v, n)), n + m)
+    return _conjugated(lambda w: creation(m, w), v, n, n + m, b1_in_b2, b2_in_b1)
 
 
 def b1_annihilation(m: int, v: FockVector, n: int) -> FockVector:
-    if not v or n - m < 0:
-        return FockVector()
-    w = annihilation(m, b1_vector_to_b2(v, n))
-    return b2_vector_to_b1(w, n - m) if w else FockVector()
+    return _conjugated(lambda w: annihilation(m, w), v, n, n - m, b1_in_b2, b2_in_b1)
 
 
 def b1_translate(v: FockVector, n: int) -> FockVector:
-    if not v:
-        return FockVector()
-    return b2_vector_to_b1(translate(b1_vector_to_b2(v, n)), n + 1)
+    return _conjugated(translate, v, n, n + 1, b1_in_b2, b2_in_b1)
 
 
 def b1_cotranslate(v: FockVector, n: int) -> FockVector:
-    if not v or n == 0:
-        return FockVector()
-    w = cotranslate(b1_vector_to_b2(v, n))
-    return b2_vector_to_b1(w, n - 1) if w else FockVector()
+    return _conjugated(cotranslate, v, n, n - 1, b1_in_b2, b2_in_b1)
 
 
 def fixed_creation(m: int, v: FockVector, n: int) -> FockVector:
     """Creation of index m on n-point fixed classes."""
-    if not v:
-        return FockVector()
-    return p_vector_to_fixed(hilb_creation(m, fixed_vector_to_p(v, n)), n + m)
+    return _conjugated(
+        lambda w: hilb_creation(m, w), v, n, n + m, hilb_fixed_in_p, hilb_p_in_fixed
+    )
 
 
 def fixed_annihilation(m: int, v: FockVector, n: int) -> FockVector:
-    if not v or n - m < 0:
-        return FockVector()
-    w = hilb_annihilation(m, fixed_vector_to_p(v, n))
-    return p_vector_to_fixed(w, n - m) if w else FockVector()
+    return _conjugated(
+        lambda w: hilb_annihilation(m, w), v, n, n - m, hilb_fixed_in_p, hilb_p_in_fixed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -609,27 +617,17 @@ def hilb_L_in_p(lam: Partition) -> FockVector:
 @lru_cache(maxsize=None)
 def hilb_L_in_p_matrix(n: int) -> TransitionMatrix:
     keys = partition_keys(n)
-    rows = []
-    for lam in keys:
-        exp = hilb_L_in_p(lam)
-        rows.append([exp[nu] for nu in keys])
-    return TransitionMatrix("hilb_L", "hilb_p", n, keys, keys, rows)
+    return _expansion_matrix("hilb_L", "hilb_p", n, keys, keys, hilb_L_in_p)
 
 
 @lru_cache(maxsize=None)
 def hilb_L_in_fixed(n: int) -> TransitionMatrix:
     """Curve classes in the fixed basis: Gram solve with diagonal 1/hook_product."""
     keys = partition_keys(n)
-    lmat = hilb_L_in_p_matrix(n)
-    exps = [lmat.expand(k) for k in keys]
-    gram = tuple(
-        tuple(pair_hilb_p(exps[a], exps[b]) for b in range(len(keys)))
-        for a in range(len(keys))
-    )
     rows = _gram_solve(
         keys,
         _partition_sort_key,
-        gram,
+        _gram(hilb_L_in_p_matrix(n), z_factor),
         lambda lam: Fraction(1, hook_product(lam)),
         lambda lam: Fraction(hook_product(lam)) ** 2,
         f"hilb_L_in_fixed({n})",
@@ -658,22 +656,7 @@ def hilb_p_in_fixed(n: int) -> TransitionMatrix:
     The Gram solve gives F Z F^T = diag(hook_product^2), the transport of
     the creation-basis pairing to the fixed-class pairing.
     """
-    keys = partition_keys(n)
-    f = hilb_fixed_in_p(n)
-    hooks = [hook_product(lam) ** 2 for lam in keys]
-    rows = [
-        [z_factor(nu) * f.rows[j][i] / hooks[j] for j in range(len(keys))]
-        for i, nu in enumerate(keys)
-    ]
-    return TransitionMatrix("hilb_p", "hilb_fixed", n, keys, keys, rows)
-
-
-def fixed_vector_to_p(v: FockVector, n: int) -> FockVector:
-    return hilb_fixed_in_p(n).apply(v)
-
-
-def p_vector_to_fixed(v: FockVector, n: int) -> FockVector:
-    return hilb_p_in_fixed(n).apply(v)
+    return _transport_inverse(hilb_fixed_in_p(n), lambda lam: hook_product(lam) ** 2, z_factor)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ The operator basis of degree n consists of the keys (i, nu) with
 i + |nu| = n: the class obtained from the vacuum by the nu-indexed
 creation operators followed by i translations.  All coefficients are
 Fractions; no floating point is used anywhere.
+
+Every basis with a diagonal pairing (operator, fixed-point, n-point
+fixed and n-point creation) pairs through ``diagonal_pairing``; the
+named pairings only supply the weight of a key.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, NamedTuple
 
@@ -194,48 +197,35 @@ def loop_action(j: int, n: int, v: FockVector) -> FockVector:
     return translate_pow(w, j)
 
 
-def pair_b2(v: FockVector, w: FockVector) -> Fraction:
-    """Diagonal pairing on the operator basis with weight z_factor(nu)."""
+def diagonal_pairing(v: FockVector, w: FockVector, weight: Callable) -> Fraction:
+    """Pairing of a basis that is orthogonal, with weight(k) the self-pairing of k."""
     out = Fraction(0)
     small, big = (v, w) if len(v) <= len(w) else (w, v)
     for k, c in small.items():
         d = big[k]
         if d:
-            out += c * d * z_factor(k.nu)
+            out += c * d * weight(k)
     return out
+
+
+def pair_b2(v: FockVector, w: FockVector) -> Fraction:
+    """Diagonal pairing on the operator basis with weight z_factor(nu)."""
+    return diagonal_pairing(v, w, lambda k: z_factor(k.nu))
 
 
 def pair_b1(v: FockVector, w: FockVector) -> Fraction:
     """Diagonal pairing on the fixed-point basis with weight h(lam, mu)."""
-    out = Fraction(0)
-    small, big = (v, w) if len(v) <= len(w) else (w, v)
-    for k, c in small.items():
-        d = big[k]
-        if d:
-            out += c * d * h_pair(k)
-    return out
+    return diagonal_pairing(v, w, h_pair)
 
 
 def pair_hilb_fixed(v: FockVector, w: FockVector) -> Fraction:
     """Diagonal pairing on the n-point fixed basis with weight hook_product^2."""
-    out = Fraction(0)
-    small, big = (v, w) if len(v) <= len(w) else (w, v)
-    for k, c in small.items():
-        d = big[k]
-        if d:
-            out += c * d * hook_product(k) ** 2
-    return out
+    return diagonal_pairing(v, w, lambda lam: hook_product(lam) ** 2)
 
 
 def pair_hilb_p(v: FockVector, w: FockVector) -> Fraction:
     """Diagonal pairing on the n-point creation basis with weight z_factor."""
-    out = Fraction(0)
-    small, big = (v, w) if len(v) <= len(w) else (w, v)
-    for k, c in small.items():
-        d = big[k]
-        if d:
-            out += c * d * z_factor(k)
-    return out
+    return diagonal_pairing(v, w, z_factor)
 
 
 def hilb_creation(n: int, v: FockVector) -> FockVector:
@@ -256,13 +246,3 @@ def hilb_annihilation(n: int, v: FockVector) -> FockVector:
             out.append((remove_part(nu, n), c * n * m))
     return FockVector(out)
 
-
-def vector_to_json_obj(v: FockVector, key_obj: Callable[[Hashable], object]) -> list:
-    """Serialize as [{"key": ..., "coeff": "p/q"}], sorted by serialized key."""
-    terms = [{"key": key_obj(k), "coeff": str(c)} for k, c in v.items()]
-    terms.sort(key=lambda t: json.dumps(t["key"], sort_keys=True))
-    return terms
-
-
-def vector_from_json_obj(obj: list, key_from: Callable[[object], Hashable]) -> FockVector:
-    return FockVector([(key_from(t["key"]), Fraction(t["coeff"])) for t in obj])

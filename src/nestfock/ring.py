@@ -3,9 +3,10 @@ of the incidence Hilbert scheme, and the two comparison maps.
 
 The normalized product on the fixed-point basis is diagonal with
 eigenvalue (-1)^(n+1) h(lam, mu) at ambient degree n (its n-point
-analog has eigenvalue (-1)^n hook_product(lam)^2).  The operator-basis
-product is one contraction over the fixed points t: with
-B = b2_in_b1(n) and the pairing-transport law B H B^T = Z, the
+analog has eigenvalue (-1)^n hook_product(lam)^2).  Both run through
+``_diagonal_star``, which checks the degrees and multiplies key by key.
+The operator-basis product is one contraction over the fixed points t:
+with B = b2_in_b1(n) and the pairing-transport law B H B^T = Z, the
 fixed-point basis in the operator basis is H B^T Z^-1, so
 
     c_ab^c = (-1)^(n+1) z(c)^-1 sum_t B_at B_bt B_ct h(t)^2.
@@ -39,19 +40,27 @@ from .incidence import IncidencePair, derive_lambda, h_pair
 from .partitions import Partition, add_corner, canonical_generators, hook_product, z_factor
 
 
-def star_b1(v: FockVector, w: FockVector, n: int) -> FockVector:
-    """Normalized product in the fixed-point basis of ambient degree n."""
+def _diagonal_star(v: FockVector, w: FockVector, n: int, degree, weight) -> FockVector:
+    """Product of a basis that multiplies diagonally: k * k = weight(k) k.
+
+    Every key of both operands must have degree(k) == n.
+    """
     for vec in (v, w):
         for k in vec.keys():
-            if k.n != n:
-                raise ValueError(f"key {k!r} has degree {k.n}, expected {n}")
-    sign = (-1) ** (n + 1)
+            if degree(k) != n:
+                raise ValueError(f"key {k!r} has degree {degree(k)}, expected {n}")
     out = []
     for k, c in v.items():
         d = w[k]
         if d:
-            out.append((k, c * d * sign * h_pair(k)))
+            out.append((k, c * d * weight(k)))
     return FockVector(out)
+
+
+def star_b1(v: FockVector, w: FockVector, n: int) -> FockVector:
+    """Normalized product in the fixed-point basis of ambient degree n."""
+    sign = (-1) ** (n + 1)
+    return _diagonal_star(v, w, n, lambda p: p.n, lambda p: sign * h_pair(p))
 
 
 @lru_cache(maxsize=None)
@@ -109,17 +118,8 @@ def star_tilde(v: FockVector, w: FockVector) -> FockVector:
 
 def star_hilb(v: FockVector, w: FockVector, n: int) -> FockVector:
     """Normalized product in the n-point fixed basis."""
-    for vec in (v, w):
-        for k in vec.keys():
-            if k.size != n:
-                raise ValueError(f"key {k!r} has degree {k.size}, expected {n}")
     sign = (-1) ** n
-    out = []
-    for k, c in v.items():
-        d = w[k]
-        if d:
-            out.append((k, c * d * sign * hook_product(k) ** 2))
-    return FockVector(out)
+    return _diagonal_star(v, w, n, lambda lam: lam.size, lambda lam: sign * hook_product(lam) ** 2)
 
 
 class OrdinaryClass:

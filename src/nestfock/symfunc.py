@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .basis_change import forward_solve, identity_rows, partition_keys
-from .fock import B2Key, FockVector
+from .basis_change import _expansion_matrix, forward_solve, identity_rows, partition_keys
+from .fock import B2Key, FockVector, diagonal_pairing
 from .partitions import Partition, z_factor
 from .ring import star_tilde
 
@@ -61,11 +61,7 @@ def p_in_m(nu: Partition) -> FockVector:
 @lru_cache(maxsize=None)
 def _p_to_m_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
     keys = partition_keys(n)
-    rows = []
-    for nu in keys:
-        exp = p_in_m(nu)
-        rows.append(tuple(exp[lam] for lam in keys))
-    return tuple(rows)
+    return _expansion_matrix("p", "m", n, keys, keys, p_in_m).rows
 
 
 @lru_cache(maxsize=None)
@@ -147,28 +143,7 @@ def phi_tilde_inverse(x: FockVector) -> FockVector:
 
 def hall_pairing(f: FockVector, g: FockVector) -> Fraction:
     """Hall pairing in the power-sum basis: <p_lam, p_mu> = z_lam delta."""
-    out = Fraction(0)
-    for k, c in f.items():
-        d = g[k]
-        if d:
-            out += c * d * z_factor(k)
-    return out
-
-
-def symfunc_to_json_obj(f: FockVector) -> dict:
-    """Serialize a power-sum expansion as {"p": [{"partition": ..., "coeff": ...}]}."""
-    terms = [{"partition": nu.as_list(), "coeff": str(c)} for nu, c in f.items()]
-    terms.sort(key=lambda t: t["partition"])
-    return {"p": terms}
-
-
-def polyv_to_json_obj(x: FockVector) -> dict:
-    """Serialize an extended element; each term carries its v exponent."""
-    terms = [
-        {"partition": k.nu.as_list(), "v": k.v, "coeff": str(c)} for k, c in x.items()
-    ]
-    terms.sort(key=lambda t: (t["partition"], t["v"]))
-    return {"p": terms}
+    return diagonal_pairing(f, g, z_factor)
 
 
 def induced_product(x: FockVector, y: FockVector) -> FockVector:

@@ -14,13 +14,14 @@ from math import factorial
 from typing import Callable, NamedTuple
 
 from .basis_change import (
+    _gram,
+    _sparse_mul,
     b1_annihilation,
     b1_cotranslate,
     b1_creation,
     b1_in_b2,
     b1_translate,
     b2_in_b1,
-    b2_vector_to_b1,
     b3_in_b1,
     b3_in_b2,
     fixed_annihilation,
@@ -28,11 +29,11 @@ from .basis_change import (
     gram_b3,
     hilb_fixed_in_p,
     hilb_L_in_p,
+    hilb_p_in_fixed,
     identity_rows,
     mat_mul,
     operator_keys,
     pair_keys,
-    p_vector_to_fixed,
 )
 from .fock import (
     B2Key,
@@ -96,8 +97,7 @@ def _heis_b1_rows(p: int, d: int):
     rows = []
     cols = pair_keys(d_out)
     for key in pair_keys(d):
-        v = FockVector.unit(key)
-        w = b1_creation(-p, v, d) if p < 0 else b1_annihilation(p, v, d)
+        w = _b1_heis(p, FockVector.unit(key), d)
         rows.append(tuple(w[c] for c in cols))
     return tuple(rows)
 
@@ -287,21 +287,14 @@ def suite_pairing(max_n: int = 8) -> list[CheckResult]:
     """Pairing transport between the operator and fixed-point bases.
 
     Checks B H B^T = Z per degree, with B = b2_in_b1, H = diag h(lam, mu)
-    and Z = diag z(nu): each weight is evaluated once, and the sums run
-    over the nonzero entries of B only, one fixed point t at a time.
+    and Z = diag z(nu); the product is the Gram helper's, which
+    evaluates each weight once and sums over the nonzero entries of B.
     """
     bad = []
     for n in range(max_n + 1):
         mat = b2_in_b1(n)
         keys = mat.row_keys
-        gram = [[Fraction(0)] * len(keys) for _ in keys]
-        for t, pair in enumerate(mat.col_keys):
-            h = h_pair(pair)
-            column = [(a, row[t]) for a, row in enumerate(mat.rows) if row[t]]
-            for i, (a, x) in enumerate(column):
-                xh = x * h
-                for b, y in column[i:]:
-                    gram[a][b] += xh * y
+        gram = _gram(mat, h_pair)
         for a, ka in enumerate(keys):
             for b in range(a, len(keys)):
                 lhs = z_factor(ka.nu) if a == b else 0
@@ -323,9 +316,7 @@ def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
     """Round trips, triangularity and choice independence of the solves."""
     bad = []
     for n in range(max_n + 1):
-        prod = mat_mul(
-            [list(r) for r in b1_in_b2(n).rows], [list(r) for r in b2_in_b1(n).rows]
-        )
+        prod = _sparse_mul(b1_in_b2(n).rows, b2_in_b1(n).rows)
         if prod != identity_rows(len(prod)):
             bad.append({"degree": n})
     out = [_result(f"b1_in_b2 * b2_in_b1 = Id, n <= {max_n}", bad)]
@@ -346,11 +337,10 @@ def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
         mat = b3_in_b1(n)
         keys = mat.row_keys
         g = gram_b3(n)
+        h = [h_pair(p) for p in keys]
         for a, p in enumerate(keys):
             check = sum(
-                (mat.rows[a][t] ** 2) * h_pair(keys[t])
-                for t in range(len(keys))
-                if mat.rows[a][t]
+                (mat.rows[a][t] ** 2) * h[t] for t in range(len(keys)) if mat.rows[a][t]
             )
             if check != g[a][a]:
                 bad.append({"degree": n, "pair": p.as_json_obj()})
@@ -447,11 +437,9 @@ def suite_diagrams(max_n: int = 6) -> list[CheckResult]:
 
     bad = []
     for m in range(1, max_n + 1):
-        creation_vac = p_vector_to_fixed(FockVector.unit(Partition([m])), m)
+        creation_vac = hilb_p_in_fixed(m).apply(FockVector.unit(Partition([m])))
         lhs = pullback_g(creation_vac)
-        rhs = Fraction(m) * b2_vector_to_b1(
-            FockVector.unit(B2Key(m - 1, Partition())), m - 1
-        )
+        rhs = Fraction(m) * b2_in_b1(m - 1).apply(FockVector.unit(B2Key(m - 1, Partition())))
         if lhs != rhs:
             bad.append({"m": m})
     out.append(
@@ -474,34 +462,24 @@ def suite_diagrams(max_n: int = 6) -> list[CheckResult]:
     limit = min(max_n, 5)
     bad = []
     for n in range(limit + 1):
-        for lam in enumerate_partitions(n):
-            for mu in enumerate_partitions(n):
-                x, y = FockVector.unit(lam), FockVector.unit(mu)
-                if pullback_f(star_hilb(x, y, n)) != star_b1(
-                    pullback_f(x), pullback_f(y), n
-                ):
-                    bad.append({"map": "f", "lambda": lam.as_list(), "mu": mu.as_list()})
-        for lam in enumerate_partitions(n + 1):
-            for mu in enumerate_partitions(n + 1):
-                x, y = FockVector.unit(lam), FockVector.unit(mu)
-                if pullback_g(star_hilb(x, y, n + 1)) != star_b1(
-                    pullback_g(x), pullback_g(y), n
-                ):
-                    bad.append({"map": "g", "lambda": lam.as_list(), "mu": mu.as_list()})
+        # f starts from n points, g from n + 1 points
+        for name, pull, size in (("f", pullback_f, n), ("g", pullback_g, n + 1)):
+            for lam in enumerate_partitions(size):
+                for mu in enumerate_partitions(size):
+                    x, y = FockVector.unit(lam), FockVector.unit(mu)
+                    if pull(star_hilb(x, y, size)) != star_b1(pull(x), pull(y), n):
+                        bad.append({"map": name, "lambda": lam.as_list(), "mu": mu.as_list()})
     out.append(_result(f"comparison maps are ring homomorphisms, n <= {limit}", bad))
 
     bad = []
     for n in range(max_n + 1):
-        for lam in enumerate_partitions(n):
-            for mu in enumerate_partitions(n):
-                x, y = FockVector.unit(lam), FockVector.unit(mu)
-                if pair_b1(pullback_f(x), pullback_f(y)) != pair_hilb_fixed(x, y):
-                    bad.append({"map": "f", "lambda": lam.as_list(), "mu": mu.as_list()})
-        for lam in enumerate_partitions(n + 1):
-            for mu in enumerate_partitions(n + 1):
-                x, y = FockVector.unit(lam), FockVector.unit(mu)
-                if pair_b1(pullback_g(x), pullback_g(y)) != (n + 1) * pair_hilb_fixed(x, y):
-                    bad.append({"map": "g", "lambda": lam.as_list(), "mu": mu.as_list()})
+        # g scales the pairing by the number n + 1 of points it starts from
+        for name, pull, size, scale in (("f", pullback_f, n, 1), ("g", pullback_g, n + 1, n + 1)):
+            for lam in enumerate_partitions(size):
+                for mu in enumerate_partitions(size):
+                    x, y = FockVector.unit(lam), FockVector.unit(mu)
+                    if pair_b1(pull(x), pull(y)) != scale * pair_hilb_fixed(x, y):
+                        bad.append({"map": name, "lambda": lam.as_list(), "mu": mu.as_list()})
     out.append(_result(f"bilinear form transport laws, n <= {max_n}", bad))
     return out
 

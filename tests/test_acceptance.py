@@ -152,11 +152,11 @@ def test_criterion_08_hilbert_dictionary():
 
 def test_criterion_09_comparison_maps():
     failures = suite_failures("diagrams", 6)
-    from nestfock.basis_change import b2_vector_to_b1, p_vector_to_fixed
+    from nestfock.basis_change import b2_in_b1, hilb_p_in_fixed
     from nestfock.ring import pullback_g
 
-    got = pullback_g(p_vector_to_fixed(U(P([2])), 2))
-    if got != 2 * b2_vector_to_b1(U(key(1, [])), 1):
+    got = pullback_g(hilb_p_in_fixed(2).apply(U(P([2]))))
+    if got != 2 * b2_in_b1(1).apply(U(key(1, []))):
         failures.append("vacuum relation at index 2")
     report(9, "comparison map diagrams, ring homomorphism and pairing laws", failures)
 

@@ -12,6 +12,7 @@ from conftest import child_env
 from nestfock.basis_change import (
     CacheError,
     TransitionMatrix,
+    _gram,
     _gram_solve,
     _pair_sort_key,
     b1_in_b2,
@@ -33,11 +34,12 @@ from nestfock.basis_change import (
     mat_mul,
     operator_keys,
     pair_keys,
+    partition_keys,
     transition_matrix,
 )
-from nestfock.fock import B2Key, FockVector, pair_b1, pair_b2
+from nestfock.fock import B2Key, FockVector, pair_b1, pair_b2, pair_hilb_p
 from nestfock.incidence import IncidencePair, h_pair, h_plus
-from nestfock.partitions import Partition, dominance_le
+from nestfock.partitions import Partition, dominance_le, z_factor
 
 P = Partition
 U = FockVector.unit
@@ -102,6 +104,10 @@ class TestGram:
     def test_matches_pairwise_pairing(self, n):
         exps = [b3_in_b2(p) for p in pair_keys(n)]
         assert gram_b3(n) == tuple(tuple(pair_b2(x, y) for y in exps) for x in exps)
+        lexps = [hilb_L_in_p(lam) for lam in partition_keys(n)]
+        assert _gram(hilb_L_in_p_matrix(n), z_factor) == tuple(
+            tuple(pair_hilb_p(x, y) for y in lexps) for x in lexps
+        )
 
 
 class TestCurveInFixed:

@@ -161,14 +161,3 @@ class TestPairings:
     def test_dimension_matches_incidence(self):
         for n in range(13):
             assert len(b2_keys(n)) == len(enumerate_incidence_pairs(n))
-
-
-class TestSerialization:
-    def test_vector_round_trip(self):
-        from nestfock.fock import vector_from_json_obj, vector_to_json_obj
-
-        v = 2 * U(key(1, [2, 1])) - Fraction(1, 3) * U(key(0, [3]))
-        obj = vector_to_json_obj(v, lambda k: k.as_json_obj())
-        assert all(isinstance(t["coeff"], str) for t in obj)
-        back = vector_from_json_obj(obj, lambda o: B2Key(o["i"], P(o["nu"])))
-        assert back == v

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from nestfock.basis_change import (
     b1_creation,
-    b1_vector_to_b2,
-    b2_vector_to_b1,
+    b1_in_b2,
+    b2_in_b1,
     fixed_creation,
     operator_keys,
 )
@@ -48,6 +48,8 @@ class TestStarProducts:
     def test_star_b1_degree_check(self):
         with pytest.raises(ValueError):
             star_b1(U(pr([], [1])), U(pr([], [1])), 1)
+        with pytest.raises(ValueError):
+            star_hilb(U(P([1])), U(P([1])), 2)
 
     def test_star_tilde_spot(self):
         a1 = U(key(0, [1]))
@@ -76,7 +78,7 @@ class TestStarProducts:
 
 def transport_star(v, w, n):
     """Oracle: the operator-basis product by transport through the fixed points."""
-    return b1_vector_to_b2(star_b1(b2_vector_to_b1(v, n), b2_vector_to_b1(w, n), n), n)
+    return b1_in_b2(n).apply(star_b1(b2_in_b1(n).apply(v), b2_in_b1(n).apply(w), n))
 
 
 class TestStarTildeContraction:
@@ -173,7 +175,7 @@ class TestPullbacks:
         half = Fraction(1, 2)
         got = pullback_g(half * U(P([2])) - half * U(P([1, 1])))
         assert got == U(pr([1], [2])) - U(pr([1], [1, 1]))
-        assert got == 2 * b2_vector_to_b1(U(key(1, [])), 1)
+        assert got == 2 * b2_in_b1(1).apply(U(key(1, [])))
 
     def test_pullback_g_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -214,13 +216,13 @@ class TestPullbacks:
         # the comparison map composed with the two dictionaries carries
         # one overall minus sign: the image of any n-point class equals
         # minus its power-sum expansion placed in v-degree 0
-        from nestfock.basis_change import b1_vector_to_b2, fixed_vector_to_p
+        from nestfock.basis_change import hilb_fixed_in_p
         from nestfock.symfunc import PolyVKey, phi, phi_tilde
 
         for n in range(5):
             for lam in enumerate_partitions(n):
-                image = phi_tilde(b1_vector_to_b2(pullback_f(U(lam)), n))
-                plain = phi(fixed_vector_to_p(U(lam), n)).map_keys(
+                image = phi_tilde(b1_in_b2(n).apply(pullback_f(U(lam))))
+                plain = phi(hilb_fixed_in_p(n).apply(U(lam))).map_keys(
                     lambda nu: PolyVKey(nu, 0)
                 )
                 assert image == -1 * plain

@@ -4,8 +4,7 @@ from math import factorial
 import pytest
 
 from nestfock.basis_change import (
-    b1_vector_to_b2,
-    fixed_vector_to_p,
+    b1_in_b2,
     hilb_fixed_in_p,
     hilb_L_in_p,
     mat_inv,
@@ -122,13 +121,13 @@ class TestDictionaries:
 
 def _fixed_image_polyv(lam):
     n = lam.size
-    return phi_tilde(b1_vector_to_b2(pullback_f(U(lam)), n))
+    return phi_tilde(b1_in_b2(n).apply(pullback_f(U(lam))))
 
 
 def _to_polyv(fixed_vec, n):
     out = FockVector()
     for lam, c in fixed_vec.items():
-        out = out + c * phi(fixed_vector_to_p(U(lam), n)).map_keys(lambda nu: PolyVKey(nu, 0))
+        out = out + c * phi(hilb_fixed_in_p(n).apply(U(lam))).map_keys(lambda nu: PolyVKey(nu, 0))
     return out
 
 
@@ -166,21 +165,6 @@ class TestInducedProduct:
                 transported = star_hilb(U(lam), U(mu), n)
                 want = -1 * _to_polyv(transported, n)
                 assert got == want, (lam, mu)
-
-
-class TestSerialization:
-    def test_symfunc_doc(self):
-        from nestfock.symfunc import polyv_to_json_obj, symfunc_to_json_obj
-
-        doc = symfunc_to_json_obj(schur_in_p(P([2])))
-        assert doc == {
-            "p": [
-                {"partition": [1, 1], "coeff": "1/2"},
-                {"partition": [2], "coeff": "1/2"},
-            ]
-        }
-        pdoc = polyv_to_json_obj(U(pv([2], 3)))
-        assert pdoc == {"p": [{"partition": [2], "v": 3, "coeff": "1"}]}
 
 
 class TestHallPairing:

@@ -50,15 +50,21 @@ def test_traced_name_resolves(qual):
 
 
 def test_traced_cli_call_matches_plain_call(tmp_path):
-    args = ["product", "--basis", "ordinary", "-n", "2", "--cache-dir", str(tmp_path)]
-    plain = run_cli(*args, cwd=tmp_path)
-    traced = subprocess.run(
-        [sys.executable, str(TRACER), str(tmp_path / "trace.json"), *args],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env=child_env(),
-    )
-    assert traced.returncode == plain.returncode == 0, traced.stderr
-    assert traced.stdout == plain.stdout
-    assert (tmp_path / "trace.json").exists()
+    # diagrams runs the conjugated operators and the Hilbert-side pairings
+    for args in (
+        ["product", "--basis", "ordinary", "-n", "2"],
+        ["verify", "--suite", "diagrams", "--max-n", "3"],
+    ):
+        args = [*args, "--cache-dir", str(tmp_path)]
+        trace = tmp_path / f"trace-{args[0]}.json"
+        plain = run_cli(*args, cwd=tmp_path)
+        traced = subprocess.run(
+            [sys.executable, str(TRACER), str(trace), *args],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=child_env(),
+        )
+        assert traced.returncode == plain.returncode == 0, traced.stderr
+        assert traced.stdout == plain.stdout
+        assert trace.exists()
