@@ -32,8 +32,9 @@ Both sides run through the same helpers, which take the weights as
 arguments: ``_expansion_matrix`` (curve classes, row by row),
 ``_gram`` (A W A^T), ``_gram_solve``, ``forward_solve``,
 ``_transport_inverse`` (the rescaled transpose) and ``_conjugated``
-(an operator carried into fixed-point coordinates).
-The Gauss-Jordan ``mat_inv`` stays as the reference oracle for tests.
+(an operator carried into fixed-point coordinates, built once per index
+and degree as a matrix).  The Gauss-Jordan ``mat_inv`` and the dense
+``mat_mul`` stay as the reference oracles for tests.
 
 Degree-level matrices can be persisted as JSON documents with a
 checksum; a version mismatch is a cache miss, a corrupted file is an
@@ -79,6 +80,7 @@ class CacheError(Exception):
 # exact dense linear algebra
 
 def mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Dense product a * b; the reference oracle that tests compare the sparse products with."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
     return [
@@ -538,47 +540,55 @@ def transition_matrix(source: str, target: str, n: int) -> TransitionMatrix:
 
 # operators conjugated into fixed-point coordinates
 
-def _conjugated(op, v: FockVector, n: int, n_out: int, to_ops, to_fixed) -> FockVector:
-    """op applied to a degree-n vector in fixed-point coordinates.
+@lru_cache(maxsize=None)
+def _operator_matrix(op, index, n: int, n_out: int, to_ops, to_fixed) -> TransitionMatrix:
+    """op(*index, -) from degree n to n_out in fixed-point coordinates, built once.
 
-    to_ops(n) carries the vector to the operator basis, where op acts,
-    and to_fixed(n_out) carries the image back; a negative n_out means
-    the image is zero.
+    to_ops(n) carries each key to the operator basis, where op acts, and
+    to_fixed(n_out) carries the image back.
     """
+    src, dst = to_ops(n), to_fixed(n_out)
+    return _expansion_matrix(
+        src.source,
+        dst.target,
+        n,
+        src.row_keys,
+        dst.col_keys,
+        lambda k: dst.apply(op(*index, src.expand(k))),
+    )
+
+
+def _conjugated(op, index, v: FockVector, n: int, n_out: int, to_ops, to_fixed) -> FockVector:
+    """op(*index, -) on a degree-n vector in fixed-point coordinates; 0 if n_out < 0."""
     if not v or n_out < 0:
         return FockVector()
-    w = op(to_ops(n).apply(v))
-    return to_fixed(n_out).apply(w) if w else FockVector()
+    return _operator_matrix(op, index, n, n_out, to_ops, to_fixed).apply(v)
 
 
 def b1_creation(m: int, v: FockVector, n: int) -> FockVector:
     """Creation of index m on a degree-n vector in fixed-point coordinates."""
-    return _conjugated(lambda w: creation(m, w), v, n, n + m, b1_in_b2, b2_in_b1)
+    return _conjugated(creation, (m,), v, n, n + m, b1_in_b2, b2_in_b1)
 
 
 def b1_annihilation(m: int, v: FockVector, n: int) -> FockVector:
-    return _conjugated(lambda w: annihilation(m, w), v, n, n - m, b1_in_b2, b2_in_b1)
+    return _conjugated(annihilation, (m,), v, n, n - m, b1_in_b2, b2_in_b1)
 
 
 def b1_translate(v: FockVector, n: int) -> FockVector:
-    return _conjugated(translate, v, n, n + 1, b1_in_b2, b2_in_b1)
+    return _conjugated(translate, (), v, n, n + 1, b1_in_b2, b2_in_b1)
 
 
 def b1_cotranslate(v: FockVector, n: int) -> FockVector:
-    return _conjugated(cotranslate, v, n, n - 1, b1_in_b2, b2_in_b1)
+    return _conjugated(cotranslate, (), v, n, n - 1, b1_in_b2, b2_in_b1)
 
 
 def fixed_creation(m: int, v: FockVector, n: int) -> FockVector:
     """Creation of index m on n-point fixed classes."""
-    return _conjugated(
-        lambda w: hilb_creation(m, w), v, n, n + m, hilb_fixed_in_p, hilb_p_in_fixed
-    )
+    return _conjugated(hilb_creation, (m,), v, n, n + m, hilb_fixed_in_p, hilb_p_in_fixed)
 
 
 def fixed_annihilation(m: int, v: FockVector, n: int) -> FockVector:
-    return _conjugated(
-        lambda w: hilb_annihilation(m, w), v, n, n - m, hilb_fixed_in_p, hilb_p_in_fixed
-    )
+    return _conjugated(hilb_annihilation, (m,), v, n, n - m, hilb_fixed_in_p, hilb_p_in_fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +699,8 @@ def cache_store(matrix: TransitionMatrix, cache_dir) -> Path:
 def cache_load(source: str, target: str, n: int, cache_dir) -> TransitionMatrix | None:
     """Load a stored matrix; None on absence or version mismatch.
 
-    A file that exists but fails to parse or verify raises CacheError
-    rather than being silently recomputed.
+    A file that exists but fails to parse or verify, or that holds
+    another matrix than its name says, raises CacheError.
     """
     path = _cache_path(cache_dir, source, target, n)
     if not path.exists():
@@ -703,9 +713,9 @@ def cache_load(source: str, target: str, n: int, cache_dir) -> TransitionMatrix 
         raise CacheError(f"malformed cache file {path}")
     if doc.get("version") != LIBRARY_VERSION:
         return None
+    if (doc.get("source"), doc.get("target"), doc.get("n")) != (source, target, n):
+        raise CacheError(f"cache file {path} is not the {source}->{target} matrix at n={n}")
     try:
         return TransitionMatrix.from_json_doc(doc)
-    except CacheError:
-        raise
     except (KeyError, ValueError, TypeError) as exc:
         raise CacheError(f"malformed cache file {path}: {exc}") from exc

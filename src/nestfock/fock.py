@@ -41,6 +41,7 @@ class B2Key(NamedTuple):
 
 
 VACUUM = B2Key(0, Partition())
+_ZERO = Fraction(0)  # one shared zero for every absent key; Fractions are immutable
 
 
 class FockVector:
@@ -56,7 +57,7 @@ class FockVector:
         data: dict = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for key, coeff in items:
-            c = data.get(key, Fraction(0)) + Fraction(coeff)
+            c = data.get(key, _ZERO) + Fraction(coeff)
             if c:
                 data[key] = c
             elif key in data:
@@ -81,7 +82,7 @@ class FockVector:
         return self._terms.keys()
 
     def __getitem__(self, key) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+        return self._terms.get(key, _ZERO)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -92,7 +93,7 @@ class FockVector:
     def __add__(self, other: "FockVector") -> "FockVector":
         data = dict(self._terms)
         for k, c in other._terms.items():
-            s = data.get(k, Fraction(0)) + c
+            s = data.get(k, _ZERO) + c
             if s:
                 data[k] = s
             elif k in data:

@@ -170,38 +170,38 @@ def marked_cells(pair: IncidencePair) -> MarkedCells:
     return MarkedCells(k, sq, sqp)
 
 
+def _marked_product(pair: IncidencePair, power: int, above_k_only: bool, name: str) -> int:
+    """hook_product(lam)^power times the h_pair factors of j != k (j > k if above_k_only).
+
+    A result that is not a positive integer signals a marked-cell bug.
+    """
+    lam = pair.lam
+    mc = marked_cells(pair)
+    out = Fraction(hook_product(lam)) ** power
+    for j in mc.sq:
+        if j > mc.k or not above_k_only:
+            out *= Fraction(1 + hook_length(lam, mc.sq[j]), hook_length(lam, mc.sqp[j]))
+    if out.denominator != 1 or out <= 0:
+        raise ArithmeticError(f"{name} = {out} is not a positive integer for {pair}")
+    return int(out)
+
+
 def h_pair(pair: IncidencePair) -> int:
     """Corrected hook product h(lam, mu) of an incidence pair.
 
     Equal to hook_product(lam)^2 times the product over j != k of
-    (1 + hook(sq[j])) / hook(sqp[j]).  The value is asserted to be a
-    positive integer; a non-integral result signals a marked-cell bug.
+    (1 + hook(sq[j])) / hook(sqp[j]).
     """
-    lam = pair.lam
-    mc = marked_cells(pair)
-    out = Fraction(hook_product(lam)) ** 2
-    for j in mc.sq:
-        out *= Fraction(1 + hook_length(lam, mc.sq[j]), hook_length(lam, mc.sqp[j]))
-    if out.denominator != 1 or out <= 0:
-        raise ArithmeticError(f"h(lam, mu) = {out} is not a positive integer for {pair}")
-    return int(out)
+    return _marked_product(pair, 2, False, "h(lam, mu)")
 
 
 def h_plus(pair: IncidencePair) -> int:
     """Positive-part hook product h_plus(lam, mu).
 
     Equal to hook_product(lam) times the product of the h_pair factors
-    for j > k only.  Asserted integral and positive.
+    for j > k only.
     """
-    lam = pair.lam
-    mc = marked_cells(pair)
-    out = Fraction(hook_product(lam))
-    for j in mc.sq:
-        if j > mc.k:
-            out *= Fraction(1 + hook_length(lam, mc.sq[j]), hook_length(lam, mc.sqp[j]))
-    if out.denominator != 1 or out <= 0:
-        raise ArithmeticError(f"h_plus = {out} is not a positive integer for {pair}")
-    return int(out)
+    return _marked_product(pair, 1, True, "h_plus")
 
 
 def euler_class(pair: IncidencePair) -> EulerClass:

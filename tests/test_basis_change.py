@@ -14,14 +14,21 @@ from nestfock.basis_change import (
     TransitionMatrix,
     _gram,
     _gram_solve,
+    _operator_matrix,
     _pair_sort_key,
+    b1_annihilation,
+    b1_cotranslate,
+    b1_creation,
     b1_in_b2,
+    b1_translate,
     b2_in_b1,
     b3_in_b1,
     b3_in_b2,
     b3_in_b2_matrix,
     cache_load,
     cache_store,
+    fixed_annihilation,
+    fixed_creation,
     forward_solve,
     gram_b3,
     hilb_fixed_in_p,
@@ -37,7 +44,19 @@ from nestfock.basis_change import (
     partition_keys,
     transition_matrix,
 )
-from nestfock.fock import B2Key, FockVector, pair_b1, pair_b2, pair_hilb_p
+from nestfock.fock import (
+    B2Key,
+    FockVector,
+    annihilation,
+    cotranslate,
+    creation,
+    hilb_annihilation,
+    hilb_creation,
+    pair_b1,
+    pair_b2,
+    pair_hilb_p,
+    translate,
+)
 from nestfock.incidence import IncidencePair, h_pair, h_plus
 from nestfock.partitions import Partition, dominance_le, z_factor
 
@@ -310,6 +329,67 @@ class TestHilbertSide:
         assert hilb_fixed_in_p(1).expand(P([1])) == U(P([1]))
 
 
+def two_apply_route(op, v, n, n_out, to_ops, to_fixed):
+    """The oracle: carry v to the operator basis, apply op, carry the image back."""
+    if not v or n_out < 0:
+        return FockVector()
+    w = op(to_ops(n).apply(v))
+    return to_fixed(n_out).apply(w) if w else FockVector()
+
+
+class TestConjugatedOperators:
+    @pytest.mark.parametrize("n", range(6))
+    def test_translation_pair_matches_two_apply_route(self, n):
+        for k in pair_keys(n):
+            v = U(k)
+            assert b1_translate(v, n) == two_apply_route(translate, v, n, n + 1, b1_in_b2, b2_in_b1)
+            assert b1_cotranslate(v, n) == two_apply_route(
+                cotranslate, v, n, n - 1, b1_in_b2, b2_in_b1
+            )
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_indexed_operators_match_two_apply_route(self, n, m):
+        incidence = (b1_in_b2, b2_in_b1)
+        hilbert = (hilb_fixed_in_p, hilb_p_in_fixed)
+        cases = [
+            (b1_creation, creation, n + m, pair_keys, incidence),
+            (fixed_creation, hilb_creation, n + m, partition_keys, hilbert),
+        ]
+        if n >= m:
+            cases += [
+                (b1_annihilation, annihilation, n - m, pair_keys, incidence),
+                (fixed_annihilation, hilb_annihilation, n - m, partition_keys, hilbert),
+            ]
+        for conjugated, op, n_out, keys, routes in cases:
+            for k in keys(n):
+                v = U(k)
+                want = two_apply_route(lambda w: op(m, w), v, n, n_out, *routes)
+                assert conjugated(m, v, n) == want, (conjugated.__name__, k)
+
+    def test_each_matrix_is_built_once(self):
+        _operator_matrix.cache_clear()
+        keys = pair_keys(3)
+        for k in keys:
+            b1_creation(1, U(k), 3)
+        info = _operator_matrix.cache_info()
+        assert (info.misses, info.hits) == (1, len(keys) - 1)
+        for k in keys:
+            b1_creation(1, U(k), 3)
+            b1_creation(2, U(k), 3)
+            b1_translate(U(k), 3)
+        info = _operator_matrix.cache_info()
+        assert (info.misses, info.hits) == (3, 4 * len(keys) - 3)
+        assert info.currsize == 3
+
+    def test_zero_vector_and_negative_degree_build_nothing(self):
+        _operator_matrix.cache_clear()
+        assert b1_creation(1, FockVector(), 2) == FockVector()
+        assert b1_annihilation(3, U(pr([1, 1], [2, 1])), 2) == FockVector()
+        assert b1_cotranslate(U(pr([], [1])), 0) == FockVector()
+        assert _operator_matrix.cache_info().misses == 0
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         mat = b2_in_b1(3)
@@ -360,6 +440,16 @@ class TestCache:
         assert [w.wait(timeout=10) for w in writers] == [0, 0]
         assert cache_load("b2", "b1", 4, tmp_path) == mat
         assert [p.name for p in tmp_path.iterdir()] == ["b2--b1--4.json"]
+
+    @pytest.mark.parametrize(
+        "name, route",
+        [("b2--b1--3.json", ("b2", "b1", 3)), ("b1--b2--2.json", ("b1", "b2", 2))],
+    )
+    def test_misplaced_document_rejected(self, tmp_path, name, route):
+        path = cache_store(b2_in_b1(2), tmp_path)
+        (tmp_path / name).write_text(path.read_text())
+        with pytest.raises(CacheError, match="is not the"):
+            cache_load(*route, tmp_path)
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "b2--b1--1.json"

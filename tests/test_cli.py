@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import run_cli
 
 
@@ -104,6 +106,21 @@ class TestDeterminismAndCache:
         cache_file.write_text(json.dumps(doc))
         res = run_cli(*args, cwd=tmp_path)
         assert res.returncode == 1 and "checksum" in res.stderr
+
+    @pytest.mark.parametrize(
+        "copy_to, args",
+        [
+            ("b2--b1--3.json", ("--from", "b2", "--to", "b1", "--degree", "3")),
+            ("b1--b2--2.json", ("--from", "b1", "--to", "b2", "--degree", "2")),
+        ],
+    )
+    def test_misplaced_cache_document_is_loud(self, tmp_path, copy_to, args):
+        run_cli("transition", "--from", "b2", "--to", "b1", "--degree", "2", cwd=tmp_path)
+        cache = tmp_path / ".nestfock-cache"
+        (cache / copy_to).write_text((cache / "b2--b1--2.json").read_text())
+        res = run_cli("transition", *args, cwd=tmp_path)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("error:") and "is not the" in res.stderr
 
     def test_stale_version_recomputed(self, tmp_path):
         args = ("transition", "--from", "b2", "--to", "b1", "--degree", "1")

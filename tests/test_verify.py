@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from nestfock import verify
-from nestfock.basis_change import TransitionMatrix, b2_in_b1
+from nestfock.basis_change import TransitionMatrix, b1_annihilation, b2_in_b1, pair_keys
+from nestfock.fock import FockVector
 from nestfock.incidence import h_pair
 from nestfock.partitions import z_factor
 
@@ -54,3 +55,22 @@ class TestSuitePairing:
                         "lhs": str(z),
                         "rhs": str(z + shift),
                     }
+
+
+class TestSuiteHeisenberg:
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_perturbed_annihilation_is_caught_at_its_degree(self, degree, monkeypatch):
+        """a_1 moved by 1/1000 on one basis key of one degree breaks [a_p, a_q]."""
+        key = pair_keys(degree)[0]
+        shift = Fraction(1, 1000) * FockVector.unit(pair_keys(degree - 1)[0])
+
+        def fake(m, v, n):
+            out = b1_annihilation(m, v, n)
+            return out + v[key] * shift if (m, n) == (1, degree) else out
+
+        monkeypatch.setattr(verify, "b1_annihilation", fake)
+        res = verify.suite_heisenberg(3)[0]
+        assert res.name.startswith("[a_p, a_q]") and not res.ok
+        failures = json.loads(res.detail)
+        assert degree in {f["degree"] for f in failures}
+        assert all(1 in (f["p"], f["q"]) and set(f) == {"p", "q", "degree"} for f in failures)
