@@ -25,15 +25,14 @@ transpose of B, rescaled by the two diagonal pairings: the
 pairing-transport law B H B^T = Z holds because the Gram solve
 reproduces every entry of A Z A^T, the diagonal by its exact check.
 
-The Hilbert side follows the same pattern: a Gram solve for the curve
-classes in the fixed classes, a forward substitution for the fixed
-classes in the creation basis, and a rescaled transpose for its inverse.
-Both sides run through the same helpers, which take the weights as
-arguments: ``_expansion_matrix`` (curve classes, row by row),
-``_gram`` (A W A^T), ``_gram_solve``, ``forward_solve``,
-``_transport_inverse`` (the rescaled transpose) and ``_conjugated``
-(an operator carried into fixed-point coordinates, built once per index
-and degree as a matrix).  The Gauss-Jordan ``mat_inv`` and the dense
+The Hilbert side needs no solve: the fixed class of lam is h(lam) s_lam,
+so the fixed classes in the creation basis (F) come from the character
+table, F^-1 is the rescaled transpose, and the curve classes in the
+fixed classes are L F^-1.  Both sides run through the same helpers:
+``_expansion_matrix`` (curve classes, row by row), ``_sparse_mul``,
+``_transport_inverse`` (the rescaled transpose) and ``_conjugated`` (an
+operator carried into fixed-point coordinates, built once per index and
+degree as a matrix).  The Gauss-Jordan ``mat_inv`` and the dense
 ``mat_mul`` stay as the reference oracles for tests.
 
 Degree-level matrices can be persisted as JSON documents with a
@@ -65,7 +64,14 @@ from .fock import (
     translate_pow,
 )
 from .incidence import IncidencePair, enumerate_incidence_pairs, h_pair, h_plus
-from .partitions import Partition, enumerate_partitions, hook_product, remove_part, z_factor
+from .partitions import (
+    Partition,
+    character,
+    enumerate_partitions,
+    hook_product,
+    remove_part,
+    z_factor,
+)
 
 LIBRARY_VERSION = "0.1.0"
 
@@ -138,10 +144,6 @@ def _pair_sort_key(p: IncidencePair):
     return (p.lam.parts, p.mu.parts)
 
 
-def _partition_sort_key(lam: Partition):
-    return lam.parts
-
-
 def _order(keys, sort_key) -> list[int]:
     """Indices of keys listed along the linear extension given by sort_key."""
     return sorted(range(len(keys)), key=lambda i: sort_key(keys[i]))
@@ -166,7 +168,7 @@ class TransitionMatrix:
     """Exact change-of-basis matrix for one graded piece.
 
     Row key p expands the source basis element p in the target basis:
-    p = sum_q rows[p][q] * q.
+    p = sum_q rows[p][q] * q.  The entries are Fractions, stored as given.
     """
 
     __slots__ = ("source", "target", "degree", "row_keys", "col_keys", "rows", "_index")
@@ -177,7 +179,7 @@ class TransitionMatrix:
         self.degree = degree
         self.row_keys = tuple(row_keys)
         self.col_keys = tuple(col_keys)
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(row) for row in rows)
         if len(self.rows) != len(self.row_keys) or any(
             len(r) != len(self.col_keys) for r in self.rows
         ):
@@ -544,18 +546,15 @@ def transition_matrix(source: str, target: str, n: int) -> TransitionMatrix:
 def _operator_matrix(op, index, n: int, n_out: int, to_ops, to_fixed) -> TransitionMatrix:
     """op(*index, -) from degree n to n_out in fixed-point coordinates, built once.
 
-    to_ops(n) carries each key to the operator basis, where op acts, and
-    to_fixed(n_out) carries the image back.
+    The product S O D, skipping zeros: S = to_ops(n) carries each key to
+    the operator basis, O holds the image of each operator key under op,
+    and D = to_fixed(n_out) carries the images back.
     """
     src, dst = to_ops(n), to_fixed(n_out)
-    return _expansion_matrix(
-        src.source,
-        dst.target,
-        n,
-        src.row_keys,
-        dst.col_keys,
-        lambda k: dst.apply(op(*index, src.expand(k))),
-    )
+    image = lambda k: op(*index, FockVector.unit(k))
+    o = _expansion_matrix(src.target, dst.source, n, src.col_keys, dst.row_keys, image)
+    rows = _sparse_mul(_sparse_mul(src.rows, o.rows), dst.rows)
+    return TransitionMatrix(src.source, dst.target, n, src.row_keys, dst.col_keys, rows)
 
 
 def _conjugated(op, index, v: FockVector, n: int, n_out: int, to_ops, to_fixed) -> FockVector:
@@ -631,31 +630,17 @@ def hilb_L_in_p_matrix(n: int) -> TransitionMatrix:
 
 
 @lru_cache(maxsize=None)
-def hilb_L_in_fixed(n: int) -> TransitionMatrix:
-    """Curve classes in the fixed basis: Gram solve with diagonal 1/hook_product."""
-    keys = partition_keys(n)
-    rows = _gram_solve(
-        keys,
-        _partition_sort_key,
-        _gram(hilb_L_in_p_matrix(n), z_factor),
-        lambda lam: Fraction(1, hook_product(lam)),
-        lambda lam: Fraction(hook_product(lam)) ** 2,
-        f"hilb_L_in_fixed({n})",
-    )
-    return TransitionMatrix("hilb_L", "hilb_fixed", n, keys, keys, rows)
-
-
-@lru_cache(maxsize=None)
 def hilb_fixed_in_p(n: int) -> TransitionMatrix:
-    """Fixed classes in the creation basis by forward substitution.
+    """Fixed classes in the creation basis: [lam] = h(lam) s_lam.
 
-    The curve classes in the fixed classes form a triangular matrix, so
-    the fixed classes follow from the curve classes in the creation basis.
+    By the Frobenius formula the row of lam holds
+    h(lam) chi^lam(nu) / z(nu), with h = hook_product.
     """
     keys = partition_keys(n)
-    m = hilb_L_in_fixed(n)
-    lmat = hilb_L_in_p_matrix(n)
-    rows = forward_solve(m.rows, lmat.rows, _order(keys, _partition_sort_key))
+    rows = []
+    for lam in keys:
+        h = hook_product(lam)
+        rows.append([Fraction(h * character(lam, nu), z_factor(nu)) for nu in keys])
     return TransitionMatrix("hilb_fixed", "hilb_p", n, keys, keys, rows)
 
 
@@ -663,10 +648,23 @@ def hilb_fixed_in_p(n: int) -> TransitionMatrix:
 def hilb_p_in_fixed(n: int) -> TransitionMatrix:
     """Inverse of F = hilb_fixed_in_p as Z F^T diag(hook_product)^-2.
 
-    The Gram solve gives F Z F^T = diag(hook_product^2), the transport of
-    the creation-basis pairing to the fixed-class pairing.
+    Character orthogonality, sum_nu chi^lam(nu) chi^mu(nu) / z(nu) =
+    delta, gives F Z F^T = diag(hook_product^2), the transport of the
+    creation-basis pairing to the fixed-class pairing.
     """
     return _transport_inverse(hilb_fixed_in_p(n), lambda lam: hook_product(lam) ** 2, z_factor)
+
+
+@lru_cache(maxsize=None)
+def hilb_L_in_fixed(n: int) -> TransitionMatrix:
+    """Curve classes in the fixed classes: L F^-1 with L = hilb_L_in_p_matrix.
+
+    Triangular along dominance with diagonal 1/hook_product (checked by
+    ``verify.suite_phi``).
+    """
+    keys = partition_keys(n)
+    rows = _sparse_mul(hilb_L_in_p_matrix(n).rows, hilb_p_in_fixed(n).rows)
+    return TransitionMatrix("hilb_L", "hilb_fixed", n, keys, keys, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 from .basis_change import (
     BASIS_TAGS,
@@ -43,19 +41,6 @@ from .verify import SUITES, run_suite
 
 DEFAULT_CACHE_DIR = ".nestfock-cache"
 PRODUCT_BASES = ("b1", "b2", "ordinary")
-
-
-@dataclass
-class Config:
-    cache_dir: Path
-    fmt: str
-    max_degree: int
-
-    def __post_init__(self) -> None:
-        if self.max_degree < 0:
-            raise ValueError("max degree must be nonnegative")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.fmt!r}")
 
 
 def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
@@ -109,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> Config:
-    cache_dir = args.cache_dir or os.environ.get("NESTFOCK_CACHE_DIR") or DEFAULT_CACHE_DIR
-    return Config(Path(cache_dir), args.format, args.max_degree)
+def _check_range(parser, label: str, value: int, max_degree: int) -> None:
+    if value < 0 or value > max_degree:
+        parser.error(f"{label} {value} outside [0, {max_degree}]")
 
 
 def _emit_json(doc) -> None:
@@ -129,15 +114,14 @@ def _key_str(tag: str, key) -> str:
     return json.dumps(key_to_obj(tag, key), separators=(",", ":"))
 
 
-def cmd_transition(args: argparse.Namespace, cfg: Config, parser) -> int:
+def cmd_transition(args: argparse.Namespace, parser) -> int:
     n = args.degree
-    if n < 0 or n > cfg.max_degree:
-        parser.error(f"degree {n} outside [0, {cfg.max_degree}]")
-    matrix = cache_load(args.source, args.target, n, cfg.cache_dir)
+    _check_range(parser, "degree", n, args.max_degree)
+    matrix = cache_load(args.source, args.target, n, args.cache_dir)
     if matrix is None:
         matrix = transition_matrix(args.source, args.target, n)
-        cache_store(matrix, cfg.cache_dir)
-    if cfg.fmt == "json":
+        cache_store(matrix, args.cache_dir)
+    if args.format == "json":
         _emit_json(matrix.to_json_doc())
     else:
         header = ["key"] + [_key_str(matrix.target, k) for k in matrix.col_keys]
@@ -182,10 +166,9 @@ def _product_table(basis: str, n: int, left=None, right=None):
     return triples
 
 
-def cmd_product(args: argparse.Namespace, cfg: Config, parser) -> int:
+def cmd_product(args: argparse.Namespace, parser) -> int:
     n = args.degree
-    if n < 0 or n > cfg.max_degree:
-        parser.error(f"degree {n} outside [0, {cfg.max_degree}]")
+    _check_range(parser, "degree", n, args.max_degree)
     tag = "b1" if args.basis == "b1" else "b2"
     left = right = None
     try:
@@ -200,7 +183,7 @@ def cmd_product(args: argparse.Namespace, cfg: Config, parser) -> int:
         if key is not None and key not in keys:
             parser.error(f"--{label} is not a degree-{n} {args.basis} key")
     triples = _product_table(args.basis, n, left, right)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json({"degree": n, "basis": args.basis, "triples": triples})
     else:
         rows = [["a", "b", "c", "coeff"]]
@@ -217,11 +200,10 @@ def cmd_product(args: argparse.Namespace, cfg: Config, parser) -> int:
     return 0
 
 
-def cmd_betti(args: argparse.Namespace, cfg: Config, parser) -> int:
-    if args.max_n < 0 or args.max_n > cfg.max_degree:
-        parser.error(f"max-n {args.max_n} outside [0, {cfg.max_degree}]")
+def cmd_betti(args: argparse.Namespace, parser) -> int:
+    _check_range(parser, "max-n", args.max_n, args.max_degree)
     table = betti_series(args.max_n)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(table)
     else:
         rows = [["n"] + [f"b_{2 * k}" for k in range(args.max_n + 1)]]
@@ -231,12 +213,11 @@ def cmd_betti(args: argparse.Namespace, cfg: Config, parser) -> int:
     return 0
 
 
-def cmd_pairs(args: argparse.Namespace, cfg: Config, parser) -> int:
+def cmd_pairs(args: argparse.Namespace, parser) -> int:
     n = args.degree
-    if n < 0 or n > cfg.max_degree:
-        parser.error(f"degree {n} outside [0, {cfg.max_degree}]")
+    _check_range(parser, "degree", n, args.max_degree)
     pairs = [p.as_json_obj() for p in pair_keys(n)]
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(pairs)
     else:
         rows = [["lambda", "mu"]]
@@ -251,9 +232,9 @@ def cmd_pairs(args: argparse.Namespace, cfg: Config, parser) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, cfg: Config, parser) -> int:
-    if args.max_n is not None and (args.max_n < 0 or args.max_n > cfg.max_degree):
-        parser.error(f"max-n {args.max_n} outside [0, {cfg.max_degree}]")
+def cmd_verify(args: argparse.Namespace, parser) -> int:
+    if args.max_n is not None:
+        _check_range(parser, "max-n", args.max_n, args.max_degree)
     results = run_suite(args.suite, args.max_n)
     failed = 0
     for r in results:
@@ -269,10 +250,9 @@ def cmd_verify(args: argparse.Namespace, cfg: Config, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = _config(args)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.max_degree < 0:
+        parser.error("max degree must be nonnegative")
+    args.cache_dir = args.cache_dir or os.environ.get("NESTFOCK_CACHE_DIR") or DEFAULT_CACHE_DIR
     handlers = {
         "transition": cmd_transition,
         "product": cmd_product,
@@ -281,7 +261,7 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args, cfg, parser)
+        return handlers[args.command](args, parser)
     except CacheError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -1,13 +1,17 @@
-"""Integer partitions, Young diagrams and hook calculus.
+"""Integer partitions, Young diagrams, hooks and symmetric group characters.
 
 Cells use 0-based (row, col) coordinates: row r of the diagram of
 ``lam`` holds the cells (r, 0) .. (r, lam[r]-1).  The monomial
 z^a w^b corresponds to the cell (a, b), so rows run in the
 z-direction and columns in the w-direction.
+
+``character`` lives here, not in ``symfunc`` (which imports
+``basis_change``), because ``basis_change`` builds the fixed classes from it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -231,3 +235,36 @@ def remove_part(lam: Partition, value: int) -> Partition:
     except ValueError:
         raise ValueError(f"{lam} has no part {value}") from None
     return Partition(ps)
+
+
+@lru_cache(maxsize=None)
+def character(lam: Partition, nu: Partition) -> int:
+    """Symmetric group character chi^lam at cycle type nu.
+
+    Border-strip recursion on the largest part of nu, carried out on
+    the strictly decreasing first-column hook lengths of lam: removing
+    a strip of size r subtracts r from one of them, with sign given by
+    the number of values jumped over.
+    """
+    if lam.size != nu.size:
+        raise ValueError("shape and cycle type must have equal size")
+    if lam.size == 0:
+        return 1
+    r = nu[0]
+    rest = Partition(nu.parts[1:])
+    length = lam.length
+    betas = [lam[i] + (length - 1 - i) for i in range(length)]
+    bset = set(betas)
+    total = 0
+    for idx, b in enumerate(betas):
+        nb = b - r
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for x in betas if nb < x < b)
+        rest_betas = sorted((x for j, x in enumerate(betas) if j != idx), reverse=True)
+        rest_betas.append(nb)
+        rest_betas.sort(reverse=True)
+        m = len(rest_betas)
+        parts = [rest_betas[i] - (m - 1 - i) for i in range(m) if rest_betas[i] - (m - 1 - i) > 0]
+        total += (-1) ** height * character(Partition(parts), rest)
+    return total

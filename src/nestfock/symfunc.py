@@ -5,7 +5,8 @@ in the power-sum basis; elements of the polynomial extension carry an
 extra exponent.  The monomial transition is computed by honest
 expansion of power sums in finitely many variables (degree-many
 variables suffice), so it serves as an oracle independent of the
-curve-class recursions.
+curve-class recursions.  ``character`` is ``partitions.character``,
+imported here under the same name.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 from .basis_change import _expansion_matrix, forward_solve, identity_rows, partition_keys
 from .fock import B2Key, FockVector, diagonal_pairing
-from .partitions import Partition, z_factor
+from .partitions import Partition, character, z_factor
 from .ring import star_tilde
 
 
@@ -78,39 +79,6 @@ def m_in_p(lam: Partition) -> FockVector:
     keys = partition_keys(lam.size)
     row = _m_to_p_rows(lam.size)[keys.index(lam)]
     return FockVector(zip(keys, row))
-
-
-@lru_cache(maxsize=None)
-def character(lam: Partition, nu: Partition) -> int:
-    """Symmetric group character chi^lam at cycle type nu.
-
-    Border-strip recursion on the largest part of nu, carried out on
-    the strictly decreasing first-column hook lengths of lam: removing
-    a strip of size r subtracts r from one of them, with sign given by
-    the number of values jumped over.
-    """
-    if lam.size != nu.size:
-        raise ValueError("shape and cycle type must have equal size")
-    if lam.size == 0:
-        return 1
-    r = nu[0]
-    rest = Partition(nu.parts[1:])
-    length = lam.length
-    betas = [lam[i] + (length - 1 - i) for i in range(length)]
-    bset = set(betas)
-    total = 0
-    for idx, b in enumerate(betas):
-        nb = b - r
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for x in betas if nb < x < b)
-        rest_betas = sorted((x for j, x in enumerate(betas) if j != idx), reverse=True)
-        rest_betas.append(nb)
-        rest_betas.sort(reverse=True)
-        m = len(rest_betas)
-        parts = [rest_betas[i] - (m - 1 - i) for i in range(m) if rest_betas[i] - (m - 1 - i) > 0]
-        total += (-1) ** height * character(Partition(parts), rest)
-    return total
 
 
 def schur_in_p(lam: Partition) -> FockVector:

@@ -31,7 +31,9 @@ from .basis_change import (
     fixed_creation,
     gram_b3,
     hilb_fixed_in_p,
+    hilb_L_in_fixed,
     hilb_L_in_p,
+    hilb_L_in_p_matrix,
     hilb_p_in_fixed,
     identity_rows,
     operator_keys,
@@ -308,15 +310,12 @@ def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
     for n in range(max_n + 1):
         mat = b3_in_b1(n)
         keys = mat.row_keys
-        g = gram_b3(n)
-        h = [h_pair(p) for p in keys]
+        lhs, rhs = gram_b3(n), _gram(mat, h_pair)
         for a, p in enumerate(keys):
-            check = sum(
-                (mat.rows[a][t] ** 2) * h[t] for t in range(len(keys)) if mat.rows[a][t]
-            )
-            if check != g[a][a]:
-                bad.append({"degree": n, "pair": p.as_json_obj()})
-    out.append(_result(f"gram diagonal consistency, n <= {max_n}", bad))
+            for b, q in enumerate(keys):
+                if lhs[a][b] != rhs[a][b]:
+                    bad.append({"degree": n, "row": p.as_json_obj(), "col": q.as_json_obj()})
+    out.append(_result(f"gram consistency A Z A^T = M H M^T, n <= {max_n}", bad))
 
     bad = []
     for n in range(min(max_n, 6) + 1):
@@ -360,6 +359,21 @@ def suite_phi(max_n: int = 9) -> list[CheckResult]:
             f"fixed classes have norm h^2 and image h(lam) s_lam, |lam| <= {limit}", bad
         )
     )
+
+    # X F = L with X triangular and diag 1/h pins F, given the norm check:
+    # the Gram matrix L Z L^T has one LDL^T factorization along dominance
+    bad = []
+    for n in range(limit + 1):
+        mat, curves = hilb_L_in_fixed(n), hilb_L_in_p_matrix(n)
+        if _sparse_mul(mat.rows, hilb_fixed_in_p(n).rows) != [list(r) for r in curves.rows]:
+            bad.append({"degree": n, "check": "X F = L"})
+        for a, lam in enumerate(mat.row_keys):
+            for b, mu in enumerate(mat.col_keys):
+                x = mat.rows[a][b]
+                off = x and a != b and not dominance_le(mu, lam)
+                if off or (a == b and x != Fraction(1, hook_product(lam))):
+                    bad.append({"degree": n, "lambda": lam.as_list(), "mu": mu.as_list()})
+    out.append(_result(f"curve classes L F^-1 triangular, diagonal 1/h, |lam| <= {limit}", bad))
 
     bad = []
     for n in range(min(max_n, 6) + 1):

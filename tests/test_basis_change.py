@@ -58,7 +58,7 @@ from nestfock.fock import (
     translate,
 )
 from nestfock.incidence import IncidencePair, h_pair, h_plus
-from nestfock.partitions import Partition, dominance_le, z_factor
+from nestfock.partitions import Partition, dominance_le, hook_product, z_factor
 
 P = Partition
 U = FockVector.unit
@@ -327,6 +327,30 @@ class TestHilbertSide:
         assert mat.expand(P([2])) == U(P([1, 1])) + U(P([2]))
         assert mat.expand(P([1, 1])) == U(P([1, 1])) - U(P([2]))
         assert hilb_fixed_in_p(1).expand(P([1])) == U(P([1]))
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_closed_form_matches_gram_route(self, n):
+        """The character-table routes equal the Gram solve over the curve classes.
+
+        The oracle factors G = L Z L^T as X diag(h^2) X^T with X triangular
+        along the ascending order of the parts and diagonal 1/h, then gets
+        F from X F = L by forward substitution.
+        """
+        keys = partition_keys(n)
+        curves = hilb_L_in_p_matrix(n)
+        x = _gram_solve(
+            keys,
+            lambda lam: lam.parts,
+            _gram(curves, z_factor),
+            lambda lam: Fraction(1, hook_product(lam)),
+            lambda lam: Fraction(hook_product(lam)) ** 2,
+            f"oracle({n})",
+        )
+        order = sorted(range(len(keys)), key=lambda i: keys[i].parts)
+        f = forward_solve(x, curves.rows, order)
+        assert rows_of(hilb_L_in_fixed(n)) == x
+        assert rows_of(hilb_fixed_in_p(n)) == f
+        assert rows_of(hilb_p_in_fixed(n)) == mat_inv(f)
 
 
 def two_apply_route(op, v, n, n_out, to_ops, to_fixed):

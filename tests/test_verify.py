@@ -4,10 +4,19 @@ from fractions import Fraction
 import pytest
 
 from nestfock import verify
-from nestfock.basis_change import TransitionMatrix, b1_annihilation, b2_in_b1, pair_keys
+from nestfock.basis_change import (
+    TransitionMatrix,
+    _gram,
+    b1_annihilation,
+    b2_in_b1,
+    b3_in_b1,
+    gram_b3,
+    hilb_L_in_fixed,
+    pair_keys,
+)
 from nestfock.fock import FockVector
 from nestfock.incidence import h_pair
-from nestfock.partitions import z_factor
+from nestfock.partitions import Partition, z_factor
 
 
 def perturbed(n, a, t, delta):
@@ -74,3 +83,55 @@ class TestSuiteHeisenberg:
         failures = json.loads(res.detail)
         assert degree in {f["degree"] for f in failures}
         assert all(1 in (f["p"], f["q"]) and set(f) == {"p", "q", "degree"} for f in failures)
+
+
+def with_rows(mat, rows):
+    return TransitionMatrix(mat.source, mat.target, mat.degree, mat.row_keys, mat.col_keys, rows)
+
+
+class TestSuiteRoundtrip:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sign_flip_off_the_diagonal_is_caught(self, n, monkeypatch):
+        """M[0][1] -> -M[0][1] keeps diag(M H M^T), so only the full Gram identity sees it."""
+        mat = b3_in_b1(n)
+        rows = [list(r) for r in mat.rows]
+        assert rows[0][1]
+        rows[0][1] = -rows[0][1]
+        flipped = with_rows(mat, rows)
+        lhs, rhs = gram_b3(n), _gram(flipped, h_pair)
+        assert all(lhs[a][a] == rhs[a][a] for a in range(len(rows)))
+        monkeypatch.setattr(verify, "b3_in_b1", lambda m: flipped if m == n else b3_in_b1(m))
+        results = verify.suite_roundtrip(n)
+        assert [r.ok for r in results] == [True, True, False, True]
+        assert results[2].name.startswith("gram consistency A Z A^T = M H M^T")
+        failures = json.loads(results[2].detail)
+        row, col = mat.row_keys[0].as_json_obj(), mat.col_keys[1].as_json_obj()
+        assert failures[0] == {"degree": n, "row": row, "col": col}
+        assert all(f["degree"] == n and set(f) == {"degree", "row", "col"} for f in failures)
+
+
+class TestSuitePhi:
+    @pytest.mark.parametrize(
+        "n, lam, mu",
+        [
+            (2, [2], [1, 1]),
+            (3, [3], [2, 1]),
+            (4, [2, 2], [2, 1, 1]),
+            (3, [2, 1], [2, 1]),
+            (4, [2, 2], [2, 2]),
+        ],
+    )
+    def test_perturbed_curve_class_is_caught_at_its_degree(self, n, lam, mu, monkeypatch):
+        """An entry of hilb_L_in_fixed moved by 1/1000, below or on the diagonal."""
+        name = "curve classes L F^-1 triangular"
+        (res,) = [r for r in verify.suite_phi(n) if r.name.startswith(name)]
+        assert res.ok
+        mat = hilb_L_in_fixed(n)
+        a, t = mat.row_keys.index(Partition(lam)), mat.col_keys.index(Partition(mu))
+        rows = [list(r) for r in mat.rows]
+        rows[a][t] += Fraction(1, 1000)
+        fake = lambda m: with_rows(mat, rows) if m == n else hilb_L_in_fixed(m)
+        monkeypatch.setattr(verify, "hilb_L_in_fixed", fake)
+        (res,) = [r for r in verify.suite_phi(n) if r.name.startswith(name)]
+        assert not res.ok
+        assert n in {f["degree"] for f in json.loads(res.detail)}
