@@ -7,23 +7,17 @@ deterministically:
 * b2 - operator basis, keys = (i, nu) with i descending;
 * b3 - curve basis, keys = incidence pairs in enumeration order.
 
-The curve basis is expanded in the operator basis by a double
-induction on size and length, and in the fixed-point basis by a
-triangular Gram solve: the Gram matrix of the curve basis under the
-operator-basis pairing must factor as M D M^T with D the diagonal of
-fixed-point self-pairings and M triangular with known diagonal.  All
-arithmetic is exact.
-
-Every other route is a triangular solve or a product with zeros
-skipped, never a general inverse.  Both M and A are triangular: M along
-the product dominance order, A once each pair is matched with the
-operator key that labels it.  So the operator basis in the curve basis
-(A^-1) and the fixed-point basis in the curve basis (M^-1) are forward
-substitutions, and the operator basis in the fixed-point basis is
-B = A^-1 M.  The fixed-point basis in the operator basis is the
-transpose of B, rescaled by the two diagonal pairings: the
-pairing-transport law B H B^T = Z holds because the Gram solve
-reproduces every entry of A Z A^T, the diagonal by its exact check.
+The curve basis in the operator basis, A, is a double induction on
+size and length.  The operator basis in the fixed-point basis, B, is
+closed-form: its rows (0, nu) come from the character table, and each
+other row translates a row of degree n - 1, translation being local in
+fixed-point coordinates (a checked identity).  Every other route is a
+product that skips zeros, the forward substitution A^-1 or the
+transpose rescaled by the pairing-transport law B H B^T = Z:
+M = A B, C = B^-1 = H B^T Z^-1 and M^-1 = C A^-1.  All arithmetic is
+exact.  The Gram solve of A Z A^T = M H M^T, the Gauss-Jordan
+``mat_inv`` and the dense ``mat_mul`` stay only as oracles for verify
+and the tests.
 
 The Hilbert side needs no solve: the fixed class of lam is h(lam) s_lam,
 so the fixed classes in the creation basis (F) come from the character
@@ -32,8 +26,7 @@ fixed classes are L F^-1.  Both sides run through the same helpers:
 ``_expansion_matrix`` (curve classes, row by row), ``_sparse_mul``,
 ``_transport_inverse`` (the rescaled transpose) and ``_conjugated`` (an
 operator carried into fixed-point coordinates, built once per index and
-degree as a matrix).  The Gauss-Jordan ``mat_inv`` and the dense
-``mat_mul`` stay as the reference oracles for tests.
+degree as a matrix).
 
 Degree-level matrices can be persisted as JSON documents with a
 checksum; a version mismatch is a cache miss, a corrupted file is an
@@ -60,10 +53,9 @@ from .fock import (
     creation,
     hilb_annihilation,
     hilb_creation,
-    translate,
     translate_pow,
 )
-from .incidence import IncidencePair, enumerate_incidence_pairs, h_pair, h_plus
+from .incidence import IncidencePair, enumerate_incidence_pairs, h_pair
 from .partitions import (
     Partition,
     character,
@@ -137,16 +129,6 @@ def operator_keys(n: int) -> tuple[B2Key, ...]:
 @lru_cache(maxsize=None)
 def partition_keys(n: int) -> tuple[Partition, ...]:
     return tuple(enumerate_partitions(n))
-
-
-def _pair_sort_key(p: IncidencePair):
-    # ascending tuple order refines the product dominance order
-    return (p.lam.parts, p.mu.parts)
-
-
-def _order(keys, sort_key) -> list[int]:
-    """Indices of keys listed along the linear extension given by sort_key."""
-    return sorted(range(len(keys)), key=lambda i: sort_key(keys[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +333,9 @@ def gram_b3(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# triangular Gram solve
+# triangular solves; the Gram solve is the oracle for M = b3_in_b1
 
-def _gram_solve(keys, sort_key, gram, diagonal, weight, label: str):
+def _gram_solve(keys, sort_key, gram, diagonal, weight):
     """Recover M from G = M diag(weight) M^T with known diagonal.
 
     M is lower triangular along the given linear extension of the
@@ -363,7 +345,7 @@ def _gram_solve(keys, sort_key, gram, diagonal, weight, label: str):
     evaluated once per key, and the sums run over the nonzero entries
     of the row being built only.
     """
-    order = _order(keys, sort_key)
+    order = sorted(range(len(keys)), key=lambda i: sort_key(keys[i]))
     w = [weight(k) for k in keys]
     m = [[Fraction(0)] * len(keys) for _ in keys]
     for rank, ip in enumerate(order):
@@ -380,10 +362,8 @@ def _gram_solve(keys, sort_key, gram, diagonal, weight, label: str):
         support.append(ip)
         check = sum((row[it] ** 2 * w[it] for it in support), Fraction(0))
         if check != gram[ip][ip]:
-            raise ArithmeticError(
-                f"{label}: diagonal consistency failed at {keys[ip]!r}: "
-                f"{check} != {gram[ip][ip]}"
-            )
+            msg = f"diagonal consistency failed at {keys[ip]!r}: {check} != {gram[ip][ip]}"
+            raise ArithmeticError(msg)
     return m
 
 
@@ -428,25 +408,6 @@ def _sparse_mul(a, b):
     return out
 
 
-@lru_cache(maxsize=None)
-def b3_in_b1(n: int) -> TransitionMatrix:
-    """Curve basis expanded in the fixed-point basis via the Gram solve.
-
-    Diagonal entries are 1/h_plus(pair); pairing weights are
-    h(lam, mu); triangularity is along the product dominance order.
-    """
-    pairs = pair_keys(n)
-    rows = _gram_solve(
-        pairs,
-        _pair_sort_key,
-        gram_b3(n),
-        lambda p: Fraction(1, h_plus(p)),
-        lambda p: Fraction(h_pair(p)),
-        f"b3_in_b1({n})",
-    )
-    return TransitionMatrix("b3", "b1", n, pairs, pairs, rows)
-
-
 def _operator_label(pair: IncidencePair) -> B2Key:
     """Operator-basis key that labels the curve class of a pair.
 
@@ -480,12 +441,47 @@ def b2_in_b3(n: int) -> TransitionMatrix:
 
 
 @lru_cache(maxsize=None)
+def _translation(n: int) -> TransitionMatrix:
+    """Translation from degree n to n + 1 in fixed-point coordinates.
+
+    A checked identity, fitted from the exact matrices: [lam, mu] goes to
+    the sum over rho = mu + one cell of h(mu)^2 / (h(mu, rho) (c(rho/mu) -
+    c(mu/lam))) [mu, rho], with c(cell) = column - row.  An addable and a
+    removable cell of mu never share a diagonal, so no denominator is 0.
+    """
+    src, dst = pair_keys(n), pair_keys(n + 1)
+    content = lambda p: p.added_cell.col - p.added_cell.row
+    cols: dict[Partition, list] = {}
+    for j, q in enumerate(dst):
+        cols.setdefault(q.lam, []).append((j, h_pair(q), content(q)))
+    rows = [[Fraction(0)] * len(dst) for _ in src]
+    for row, p in zip(rows, src):
+        for j, h, c in cols[p.mu]:
+            row[j] = Fraction(hook_product(p.mu) ** 2, h * (c - content(p)))
+    return TransitionMatrix("b1", "b1", n, src, dst, rows)
+
+
+@lru_cache(maxsize=None)
 def b2_in_b1(n: int) -> TransitionMatrix:
-    """Operator basis in the fixed-point basis: B = A^-1 M, skipping zeros."""
-    a_inv = b2_in_b3(n)
-    m = b3_in_b1(n)
-    rows = _sparse_mul(a_inv.rows, m.rows)
-    return TransitionMatrix("b2", "b1", n, a_inv.row_keys, m.col_keys, rows)
+    """Operator basis in the fixed-point basis, B, in closed form.
+
+    The rows (i, nu) with i > 0 translate the rows (i - 1, nu) of degree
+    n - 1, listed in the same order; row (0, nu) holds
+    h(lam) chi^lam(nu) / h(lam, mu) at [lam, mu].
+    """
+    pairs = pair_keys(n)
+    rows = _sparse_mul(b2_in_b1(n - 1).rows, _translation(n - 1).rows) if n else []
+    scale = [(p.lam, Fraction(hook_product(p.lam), h_pair(p))) for p in pairs]
+    for nu in partition_keys(n):
+        rows.append([s * character(lam, nu) for lam, s in scale])
+    return TransitionMatrix("b2", "b1", n, operator_keys(n), pairs, rows)
+
+
+@lru_cache(maxsize=None)
+def b3_in_b1(n: int) -> TransitionMatrix:
+    """Curve basis in the fixed-point basis: M = A B, skipping zeros."""
+    a, b = b3_in_b2_matrix(n), b2_in_b1(n)
+    return TransitionMatrix("b3", "b1", n, a.row_keys, b.col_keys, _sparse_mul(a.rows, b.rows))
 
 
 def _transport_inverse(x: TransitionMatrix, row_weight, col_weight) -> TransitionMatrix:
@@ -505,19 +501,19 @@ def _transport_inverse(x: TransitionMatrix, row_weight, col_weight) -> Transitio
 def b1_in_b2(n: int) -> TransitionMatrix:
     """Fixed-point basis in the operator basis: C = H B^T Z^-1.
 
-    The Gram solve reproduces A Z A^T = M H M^T exactly, so B H B^T = Z
-    (the pairing-transport law) and the inverse of B is its transpose
-    rescaled by Z = diag z(nu) and H = diag h(lam, mu).
+    The pairing-transport law B H B^T = Z, which verify checks, makes
+    the inverse of B its transpose rescaled by Z = diag z(nu) and
+    H = diag h(lam, mu).
     """
     return _transport_inverse(b2_in_b1(n), lambda k: z_factor(k.nu), h_pair)
 
 
 @lru_cache(maxsize=None)
 def b1_in_b3(n: int) -> TransitionMatrix:
-    """Fixed-point basis in the curve basis: M^-1 by forward substitution."""
-    m = b3_in_b1(n)
-    rows = forward_solve(m.rows, identity_rows(len(m.rows)), _order(m.row_keys, _pair_sort_key))
-    return TransitionMatrix("b1", "b3", n, m.col_keys, m.row_keys, rows)
+    """Fixed-point basis in the curve basis: M^-1 = C A^-1, skipping zeros."""
+    c, a_inv = b1_in_b2(n), b2_in_b3(n)
+    rows = _sparse_mul(c.rows, a_inv.rows)
+    return TransitionMatrix("b1", "b3", n, c.row_keys, a_inv.col_keys, rows)
 
 
 def transition_matrix(source: str, target: str, n: int) -> TransitionMatrix:
@@ -574,7 +570,7 @@ def b1_annihilation(m: int, v: FockVector, n: int) -> FockVector:
 
 
 def b1_translate(v: FockVector, n: int) -> FockVector:
-    return _conjugated(translate, (), v, n, n + 1, b1_in_b2, b2_in_b1)
+    return _translation(n).apply(v)
 
 
 def b1_cotranslate(v: FockVector, n: int) -> FockVector:

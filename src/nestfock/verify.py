@@ -73,7 +73,7 @@ from .ring import (
     star_b1,
     star_hilb,
 )
-from .symfunc import hall_pairing, m_in_p, phi, schur_in_p
+from .symfunc import _p_to_m_rows, hall_pairing, m_in_p, phi
 
 
 class CheckResult(NamedTuple):
@@ -287,7 +287,7 @@ def suite_pairing(max_n: int = 8) -> list[CheckResult]:
 
 
 def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
-    """Round trips, triangularity and choice independence of the solves."""
+    """Round trips, the shape of M = b3_in_b1 and choice independence of A."""
     bad = []
     for n in range(max_n + 1):
         prod = _sparse_mul(b1_in_b2(n).rows, b2_in_b1(n).rows)
@@ -295,16 +295,18 @@ def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
             bad.append({"degree": n})
     out = [_result(f"b1_in_b2 * b2_in_b1 = Id, n <= {max_n}", bad)]
 
+    # with A Z A^T = M H M^T below this pins M: G has one LDL^T along dominance
     bad = []
     for n in range(max_n + 1):
         mat = b3_in_b1(n)
         for a, p in enumerate(mat.row_keys):
             for b, q in enumerate(mat.col_keys):
-                if mat.rows[a][b] and not (
-                    dominance_le(q.lam, p.lam) and dominance_le(q.mu, p.mu)
-                ):
+                x = mat.rows[a][b]
+                off = x and not (dominance_le(q.lam, p.lam) and dominance_le(q.mu, p.mu))
+                if off or (a == b and x != Fraction(1, h_plus(p))):
                     bad.append({"degree": n, "row": p.as_json_obj(), "col": q.as_json_obj()})
-    out.append(_result(f"b3_in_b1 triangular for product dominance, n <= {max_n}", bad))
+    name = f"b3_in_b1 triangular for product dominance, diagonal 1/h_plus, n <= {max_n}"
+    out.append(_result(name, bad))
 
     bad = []
     for n in range(max_n + 1):
@@ -344,21 +346,22 @@ def suite_phi(max_n: int = 9) -> list[CheckResult]:
                     bad.append({"lambda": lam.as_list(), "mu": mu.as_list()})
     out.append(_result(f"Hall pairing is z_lam delta, |lam| <= {max_n}", bad))
 
+    # with the norm: Kostka unitriangularity of h(lam) s_lam, with no characters
     bad = []
     limit = min(max_n, 8)
     for n in range(limit + 1):
         mat = hilb_fixed_in_p(n)
-        for lam in enumerate_partitions(n):
+        in_m = _sparse_mul(mat.rows, _p_to_m_rows(n))
+        for lam, row in zip(mat.row_keys, in_m):
             img = phi(mat.expand(lam))
             if hall_pairing(img, img) != hook_product(lam) ** 2:
                 bad.append({"lambda": lam.as_list(), "check": "norm"})
-            if img != hook_product(lam) * schur_in_p(lam):
-                bad.append({"lambda": lam.as_list(), "check": "schur"})
-    out.append(
-        _result(
-            f"fixed classes have norm h^2 and image h(lam) s_lam, |lam| <= {limit}", bad
-        )
-    )
+            for mu, x in zip(mat.col_keys, row):
+                off = x and not dominance_le(mu, lam)
+                if off or (mu == lam and x != hook_product(lam)):
+                    bad.append({"lambda": lam.as_list(), "mu": mu.as_list(), "check": "monomial"})
+    name = f"fixed classes have norm h^2 and image h(lam) m_lam + lower terms, |lam| <= {limit}"
+    out.append(_result(name, bad))
 
     # X F = L with X triangular and diag 1/h pins F, given the norm check:
     # the Gram matrix L Z L^T has one LDL^T factorization along dominance

@@ -1,11 +1,25 @@
-"""Shared helper for the tests that start the CLI in a child process."""
+"""Shared helpers: starting the CLI in a child process, clearing the package's memos."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from nestfock import basis_change, ring
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def clear_memos():
+    """Empty every lru_cache of the matrix and product modules.
+
+    A test that monkeypatches a matrix function calls this before and
+    after, so no matrix built from the patched function outlives the test.
+    """
+    for module in (basis_change, ring):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
 
 
 def child_env(env_extra=None):

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import child_env
+from conftest import child_env, clear_memos
+from nestfock import basis_change
 from nestfock.basis_change import (
     CacheError,
     TransitionMatrix,
     _gram,
     _gram_solve,
     _operator_matrix,
-    _pair_sort_key,
     b1_annihilation,
     b1_cotranslate,
     b1_creation,
@@ -59,6 +59,7 @@ from nestfock.fock import (
 )
 from nestfock.incidence import IncidencePair, h_pair, h_plus
 from nestfock.partitions import Partition, dominance_le, hook_product, z_factor
+from nestfock.ring import star_tilde
 
 P = Partition
 U = FockVector.unit
@@ -70,6 +71,26 @@ def pr(lam, mu):
 
 def key(i, nu):
     return B2Key(i, P(nu))
+
+
+def _pair_sort_key(p):
+    # ascending tuple order refines the product dominance order
+    return (p.lam.parts, p.mu.parts)
+
+
+def gram_route(n, gram=None):
+    """The oracle for M = b3_in_b1(n): the Gram solve of A Z A^T = M H M^T.
+
+    M is triangular along the product dominance order with diagonal
+    1/h_plus; ``gram`` replaces A Z A^T when given.
+    """
+    return _gram_solve(
+        pair_keys(n),
+        _pair_sort_key,
+        gram_b3(n) if gram is None else gram,
+        lambda p: Fraction(1, h_plus(p)),
+        lambda p: Fraction(h_pair(p)),
+    )
 
 
 class TestLinearAlgebra:
@@ -215,7 +236,7 @@ class TestGaussJordanOracle:
         mat = transition_matrix(source, target, n)
         back = transition_matrix(target, source, n)
         if route == ("b2", "b1"):
-            expected = mat_mul(mat_inv(rows_of(b3_in_b2_matrix(n))), rows_of(b3_in_b1(n)))
+            expected = mat_mul(mat_inv(rows_of(b3_in_b2_matrix(n))), gram_route(n))
         else:
             expected = mat_inv(rows_of(back))
         assert (mat.row_keys, mat.col_keys) == (back.col_keys, back.row_keys)
@@ -254,19 +275,44 @@ class TestForwardSolve:
             forward_solve(lower, identity_rows(2), [0, 1])
 
 
+class TestGramRouteOracle:
+    """The closed-form B and M = A B against the Gram solve they replaced."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_closed_form_matches_gram_route(self, n):
+        m = gram_route(n)
+        assert rows_of(b3_in_b1(n)) == m
+        assert rows_of(b2_in_b1(n)) == mat_mul(mat_inv(rows_of(b3_in_b2_matrix(n))), m)
+
+    def test_no_route_reaches_the_gram_solve(self, monkeypatch):
+        """All six routes and the products build with the Gram route disabled."""
+
+        def refuse(*args):
+            raise AssertionError("the Gram route was reached")
+
+        def enumeration_order_only(lower, rhs, order):
+            assert order == list(range(len(order))), "a dominance-order solve was reached"
+            return forward_solve(lower, rhs, order)
+
+        for name in ("_gram_solve", "gram_b3", "_gram"):
+            monkeypatch.setattr(basis_change, name, refuse)
+        monkeypatch.setattr(basis_change, "forward_solve", enumeration_order_only)
+        clear_memos()
+        try:
+            for n in range(7):
+                for route in ROUTES:
+                    transition_matrix(*route, n)
+            for n in range(4):
+                x = U(operator_keys(n)[0])
+                assert star_tilde(x, x)
+        finally:
+            clear_memos()
+
+
 class TestGramSolveCheck:
     """The diagonal check catches any inconsistent off-diagonal Gram entry."""
 
-    @staticmethod
-    def solve(n, gram):
-        return _gram_solve(
-            pair_keys(n),
-            _pair_sort_key,
-            gram,
-            lambda p: Fraction(1, h_plus(p)),
-            lambda p: Fraction(h_pair(p)),
-            f"perturbed({n})",
-        )
+    solve = staticmethod(gram_route)
 
     def test_unperturbed_gram_is_consistent(self):
         assert tuple(tuple(r) for r in self.solve(3, gram_b3(3))) == b3_in_b1(3).rows
@@ -344,7 +390,6 @@ class TestHilbertSide:
             _gram(curves, z_factor),
             lambda lam: Fraction(1, hook_product(lam)),
             lambda lam: Fraction(hook_product(lam)) ** 2,
-            f"oracle({n})",
         )
         order = sorted(range(len(keys)), key=lambda i: keys[i].parts)
         f = forward_solve(x, curves.rows, order)
@@ -401,7 +446,7 @@ class TestConjugatedOperators:
         for k in keys:
             b1_creation(1, U(k), 3)
             b1_creation(2, U(k), 3)
-            b1_translate(U(k), 3)
+            b1_cotranslate(U(k), 3)
         info = _operator_matrix.cache_info()
         assert (info.misses, info.hits) == (3, 4 * len(keys) - 3)
         assert info.currsize == 3

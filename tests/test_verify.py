@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from nestfock import verify
+from conftest import clear_memos
+from nestfock import basis_change, verify
 from nestfock.basis_change import (
     TransitionMatrix,
     _gram,
+    _translation,
     b1_annihilation,
     b2_in_b1,
     b3_in_b1,
     gram_b3,
+    hilb_fixed_in_p,
     hilb_L_in_fixed,
     pair_keys,
 )
@@ -89,6 +92,33 @@ def with_rows(mat, rows):
     return TransitionMatrix(mat.source, mat.target, mat.degree, mat.row_keys, mat.col_keys, rows)
 
 
+class TestTranslationRule:
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_moved_entry_is_caught_at_its_degree(self, degree, monkeypatch):
+        """An entry of the translation into degree n moved by 1/1000 breaks B_n.
+
+        The pairing check, the round trip, the triangularity check and the
+        Gram consistency check each fail at that degree and at no other.
+        """
+        t = _translation(degree - 1)
+        entries = [(a, j) for a, row in enumerate(t.rows) for j, x in enumerate(row) if x]
+        try:
+            for a, j in entries:
+                rows = [list(r) for r in t.rows]
+                rows[a][j] += Fraction(1, 1000)
+                moved = with_rows(t, rows)
+                fake = lambda m, moved=moved: moved if m == degree - 1 else _translation(m)
+                monkeypatch.setattr(basis_change, "_translation", fake)
+                clear_memos()
+                results = verify.suite_pairing(degree) + verify.suite_roundtrip(degree)
+                assert [r.ok for r in results] == [False, False, False, False, True], (a, j)
+                for r in results[:4]:
+                    assert {f["degree"] for f in json.loads(r.detail)} == {degree}
+        finally:
+            monkeypatch.undo()
+            clear_memos()
+
+
 class TestSuiteRoundtrip:
     @pytest.mark.parametrize("n", [2, 3])
     def test_sign_flip_off_the_diagonal_is_caught(self, n, monkeypatch):
@@ -108,6 +138,21 @@ class TestSuiteRoundtrip:
         row, col = mat.row_keys[0].as_json_obj(), mat.col_keys[1].as_json_obj()
         assert failures[0] == {"degree": n, "row": row, "col": col}
         assert all(f["degree"] == n and set(f) == {"degree", "row", "col"} for f in failures)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_moved_diagonal_entry_is_caught(self, n, monkeypatch):
+        """diag(M) = 1/h_plus is checked, so the diagonal of M is pinned."""
+        mat = b3_in_b1(n)
+        a = len(mat.rows) - 1
+        rows = [list(r) for r in mat.rows]
+        rows[a][a] += Fraction(1, 1000)
+        moved = with_rows(mat, rows)
+        monkeypatch.setattr(verify, "b3_in_b1", lambda m: moved if m == n else b3_in_b1(m))
+        res = verify.suite_roundtrip(n)[1]
+        assert res.name.startswith("b3_in_b1 triangular for product dominance, diagonal 1/h_plus")
+        assert not res.ok
+        p = mat.row_keys[a].as_json_obj()
+        assert json.loads(res.detail) == [{"degree": n, "row": p, "col": p}]
 
 
 class TestSuitePhi:
@@ -135,3 +180,18 @@ class TestSuitePhi:
         (res,) = [r for r in verify.suite_phi(n) if r.name.startswith(name)]
         assert not res.ok
         assert n in {f["degree"] for f in json.loads(res.detail)}
+
+    def test_wrong_character_is_caught_by_the_monomial_expansion(self, monkeypatch):
+        """chi^(2,1)((3)) + 1 puts m_(3), which dominates (2,1), into the class of (2,1)."""
+        character = basis_change.character
+
+        def wrong(lam, nu):
+            bump = (lam, nu) == (Partition([2, 1]), Partition([3]))
+            return character(lam, nu) + bump
+
+        monkeypatch.setattr(basis_change, "character", wrong)
+        monkeypatch.setattr(verify, "hilb_fixed_in_p", hilb_fixed_in_p.__wrapped__)
+        name = "fixed classes have norm h^2 and image h(lam) m_lam + lower terms"
+        (res,) = [r for r in verify.suite_phi(3) if r.name.startswith(name)]
+        assert not res.ok
+        assert {"lambda": [2, 1], "mu": [3], "check": "monomial"} in json.loads(res.detail)
