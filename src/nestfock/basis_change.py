@@ -15,9 +15,12 @@ fixed-point coordinates (a checked identity).  Every other route is a
 product that skips zeros, the forward substitution A^-1 or the
 transpose rescaled by the pairing-transport law B H B^T = Z:
 M = A B, C = B^-1 = H B^T Z^-1 and M^-1 = C A^-1.  All arithmetic is
-exact.  The Gram solve of A Z A^T = M H M^T, the Gauss-Jordan
-``mat_inv`` and the dense ``mat_mul`` stay only as oracles for verify
-and the tests.
+exact, and the kernels on these routes run in Python integers: the
+products, the forward substitution and the curve recursion scale their
+rows to integers over a common denominator (``_integer_rows``), sum in
+integers and build one Fraction per nonzero output entry.  The Gram
+solve of A Z A^T = M H M^T, the Gauss-Jordan ``mat_inv`` and the dense
+``mat_mul`` stay only as oracles for verify and the tests.
 
 The Hilbert side needs no solve: the fixed class of lam is h(lam) s_lam,
 so the fixed classes in the creation basis (F) come from the character
@@ -41,10 +44,12 @@ import os
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from pathlib import Path
 
 from .curve_classes import create_b3, nakajima_L, translate_b3_pow
 from .fock import (
+    _ZERO,
     B2Key,
     FockVector,
     annihilation,
@@ -246,7 +251,8 @@ def b3_in_b2(pair: IncidencePair, *, smallest_shared: bool = False) -> FockVecto
     curve-basis creation operator to the stripped key and solve for
     the target term.  Absorption terms are translates of the stripped
     key and are expanded via the translation operator; all remaining
-    terms have shorter lam and recurse.
+    terms have shorter lam and recurse.  The terms are summed in
+    integers and divided by the target coefficient once.
     """
     memo_key = (pair, smallest_shared)
     hit = _B3_IN_B2.get(memo_key)
@@ -269,20 +275,29 @@ def b3_in_b2(pair: IncidencePair, *, smallest_shared: bool = False) -> FockVecto
         m = shared[0] if smallest_shared else shared[-1]
         src = IncidencePair(remove_part(lam, m), remove_part(mu, m))
         src_exp = b3_in_b2(src, smallest_shared=smallest_shared)
-        acc = creation(m, src_exp)
         terms = create_b3(m, FockVector.unit(src))
         target_coeff = terms[pair]
         if not target_coeff:
             raise RuntimeError(f"target {pair} missing from expansion of {src}")
         absorption = translate_b3_pow(src, m)
+        coeffs, vectors = [Fraction(1)], [creation(m, src_exp)]
         for q, c in terms.items():
             if q == pair:
                 continue
+            coeffs.append(-c)
             if q == absorption:
-                acc = acc - c * translate_pow(src_exp, m)
+                vectors.append(translate_pow(src_exp, m))
             else:
-                acc = acc - c * b3_in_b2(q, smallest_shared=smallest_shared)
-        result = acc * (Fraction(1) / target_coeff)
+                vectors.append(b3_in_b2(q, smallest_shared=smallest_shared))
+        # sum_q coeffs_q vectors_q in integers, then one division by the target
+        (ints,), d_c = _integer_rows((coeffs,))
+        rows, d_v = _integer_rows([[x for _, x in v.items()] for v in vectors])
+        acc: dict = {}
+        for c, v, row in zip(ints, vectors, rows):
+            for k, x in zip(v.keys(), row):
+                acc[k] = acc.get(k, 0) + c * x
+        num, den = target_coeff.denominator, d_c * d_v * target_coeff.numerator
+        result = FockVector({k: Fraction(x * num, den) for k, x in acc.items() if x})
 
     _B3_IN_B2[memo_key] = result
     return result
@@ -367,44 +382,76 @@ def _gram_solve(keys, sort_key, gram, diagonal, weight):
     return m
 
 
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Rows of Fractions as (N, d): integer rows N over one common denominator d.
+
+    d is the least common multiple of the entries' denominators, so
+    rows = N / d exactly.
+    """
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
 def forward_solve(lower, rhs, order):
     """Rows X with lower * X = rhs, by forward substitution.
 
     ``lower`` is square and lower triangular along ``order``, a list of
     its row indices from first to last; rows and columns share the
-    index set.  Zero entries of ``lower`` and of finished rows of X are
-    skipped.  Raises ArithmeticError on an entry above the diagonal or
-    a zero pivot.
+    index set.  Each finished row of X is kept as integers over one
+    gcd-reduced denominator, so the substitution sums in integers, skips
+    zero entries of ``lower`` and of finished rows, and builds one
+    Fraction per nonzero entry of X.  Raises ArithmeticError on an entry
+    above the diagonal or a zero pivot.
     """
     x = [None] * len(order)
-    nonzero = [None] * len(order)
+    solved = [None] * len(order)  # (nonzero (column, numerator) pairs, denominator of either sign)
     for rank, i in enumerate(order):
-        row = lower[i]
+        (row,), d_row = _integer_rows((lower[i],))
         if not row[i] or any(row[j] for j in order[rank + 1:]):
             raise ArithmeticError("matrix is not triangular along the given order")
-        acc = list(rhs[i])
-        for j in order[:rank]:
-            c = row[j]
-            if c:
-                for col, v in nonzero[j]:
-                    acc[col] -= c * v
-        pivot = row[i]
-        x[i] = [a / pivot for a in acc]
-        nonzero[i] = [(col, v) for col, v in enumerate(x[i]) if v]
+        (acc,), d_rhs = _integer_rows((rhs[i],))
+        terms = [(row[j], solved[j]) for j in order[:rank] if row[j]]
+        # rhs - sum_j lower_ij X_j over the denominator den: the sum's
+        # terms share q = lcm of their rows' denominators
+        q = lcm(*(d for _, (_, d) in terms))
+        den = lcm(d_rhs, d_row * q)
+        f = den // d_rhs
+        acc = [a * f for a in acc]
+        for c, (nonzero, d) in terms:
+            c *= den // (d_row * d)
+            for col, v in nonzero:
+                acc[col] -= c * v
+        # divide by the pivot row[i] / d_row, then reduce
+        den *= row[i]
+        acc = [a * d_row for a in acc]
+        g = gcd(den, *acc)
+        den //= g
+        acc = [a // g for a in acc]
+        solved[i] = ([(col, v) for col, v in enumerate(acc) if v], den)
+        x[i] = [Fraction(v, den) if v else _ZERO for v in acc]
     return x
 
 
 def _sparse_mul(a, b):
-    """Product a * b of row lists, skipping zero entries of both."""
-    b_nonzero = [[(j, v) for j, v in enumerate(rb) if v] for rb in b]
+    """Product a * b of row lists of Fractions, skipping zero entries of both.
+
+    b is scaled to integers over one common denominator and each row of a
+    over its own, so the sums run in integers; each nonzero entry of the
+    product is one Fraction.
+    """
+    width = len(b[0]) if b else 0
+    nb, d_b = _integer_rows(b)
+    b_nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in nb]
     out = []
     for ra in a:
-        acc = [Fraction(0)] * (len(b[0]) if b else 0)
-        for k, c in enumerate(ra):
+        (na,), d_a = _integer_rows((ra,))
+        acc = [0] * width
+        for k, c in enumerate(na):
             if c:
                 for j, v in b_nonzero[k]:
                     acc[j] += c * v
-        out.append(acc)
+        den = d_a * d_b
+        out.append([Fraction(v, den) if v else _ZERO for v in acc])
     return out
 
 
@@ -471,9 +518,9 @@ def b2_in_b1(n: int) -> TransitionMatrix:
     """
     pairs = pair_keys(n)
     rows = _sparse_mul(b2_in_b1(n - 1).rows, _translation(n - 1).rows) if n else []
-    scale = [(p.lam, Fraction(hook_product(p.lam), h_pair(p))) for p in pairs]
+    scale = [(p.lam, hook_product(p.lam), h_pair(p)) for p in pairs]
     for nu in partition_keys(n):
-        rows.append([s * character(lam, nu) for lam, s in scale])
+        rows.append([Fraction(hk * character(lam, nu), h) for lam, hk, h in scale])
     return TransitionMatrix("b2", "b1", n, operator_keys(n), pairs, rows)
 
 
@@ -492,8 +539,10 @@ def _transport_inverse(x: TransitionMatrix, row_weight, col_weight) -> Transitio
     transpose the inverse.
     """
     r = [row_weight(k) for k in x.row_keys]
-    c = [col_weight(k) for k in x.col_keys]
-    rows = [[c[i] * x.rows[j][i] / r[j] for j in range(len(r))] for i in range(len(c))]
+    rows = [
+        [Fraction(c * e.numerator, e.denominator * rj) if e else _ZERO for e, rj in zip(col, r)]
+        for c, col in zip(map(col_weight, x.col_keys), zip(*x.rows))
+    ]
     return TransitionMatrix(x.target, x.source, x.degree, x.col_keys, x.row_keys, rows)
 
 

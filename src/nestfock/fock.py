@@ -57,12 +57,21 @@ class FockVector:
         data: dict = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for key, coeff in items:
-            c = data.get(key, _ZERO) + Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if key in data:
+                c += data[key]
             if c:
                 data[key] = c
-            elif key in data:
-                del data[key]
+            else:
+                data.pop(key, None)
         object.__setattr__(self, "_terms", data)
+
+    @classmethod
+    def _wrap(cls, data: dict) -> "FockVector":
+        """Vector over ``data``, taken as is: its values are nonzero Fractions."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "_terms", data)
+        return v
 
     def __setattr__(self, name, value):
         raise AttributeError("FockVector is immutable")
@@ -98,19 +107,26 @@ class FockVector:
                 data[k] = s
             elif k in data:
                 del data[k]
-        return FockVector(data)
+        return FockVector._wrap(data)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-other)
+        data = dict(self._terms)
+        for k, c in other._terms.items():
+            s = data.get(k, _ZERO) - c
+            if s:
+                data[k] = s
+            elif k in data:
+                del data[k]
+        return FockVector._wrap(data)
 
     def __neg__(self) -> "FockVector":
-        return FockVector({k: -c for k, c in self._terms.items()})
+        return FockVector._wrap({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, scalar) -> "FockVector":
         s = Fraction(scalar)
         if not s:
             return FockVector()
-        return FockVector({k: c * s for k, c in self._terms.items()})
+        return FockVector._wrap({k: c * s for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 

@@ -17,6 +17,7 @@ strong consistency check on both.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .partitions import (
@@ -186,6 +187,7 @@ def _marked_product(pair: IncidencePair, power: int, above_k_only: bool, name: s
     return int(out)
 
 
+@lru_cache(maxsize=None)
 def h_pair(pair: IncidencePair) -> int:
     """Corrected hook product h(lam, mu) of an incidence pair.
 

@@ -145,6 +145,7 @@ def hook_length(lam: Partition, cell: Cell) -> int:
     return (lam[cell.row] - cell.col - 1) + (conj[cell.col] - cell.row - 1) + 1
 
 
+@lru_cache(maxsize=None)
 def hook_product(lam: Partition) -> int:
     """Product of all hook lengths over the diagram; 1 for the empty partition."""
     conj = lam.conjugate()

@@ -32,9 +32,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from .basis_change import b2_in_b1, operator_keys
+from .basis_change import _integer_rows, b2_in_b1, operator_keys
 from .fock import B2Key, FockVector, b2_degree, vector_degree
 from .incidence import IncidencePair, derive_lambda, h_pair
 from .partitions import Partition, add_corner, canonical_generators, hook_product, z_factor
@@ -73,9 +72,9 @@ def _contraction_data(n: int):
     z(c) D^3 per operator key c.  The contraction then runs in integers.
     """
     b = b2_in_b1(n)
-    den = lcm(*(x.denominator for row in b.rows for x in row))
+    nums, den = _integer_rows(b.rows)
     index = {k: a for a, k in enumerate(b.row_keys)}
-    rows = tuple(tuple((t, int(x * den)) for t, x in enumerate(row) if x) for row in b.rows)
+    rows = tuple(tuple((t, x) for t, x in enumerate(row) if x) for row in nums)
     h2 = tuple(h_pair(p) ** 2 for p in b.col_keys)
     denoms = tuple(z_factor(k.nu) * den**3 for k in b.row_keys)
     return b.row_keys, index, rows, h2, (-1) ** (n + 1), denoms
@@ -87,10 +86,9 @@ def _fixed_coords(v: FockVector, index, rows) -> tuple[dict, int]:
     X maps t to the integer d D sum_a v_a B_at, with d the common
     denominator of the coefficients of v.
     """
-    d = lcm(*(c.denominator for _, c in v.items()))
+    (nums,), d = _integer_rows(([c for _, c in v.items()],))
     x: dict = {}
-    for k, c in v.items():
-        m = c.numerator * (d // c.denominator)
+    for k, m in zip(v.keys(), nums):
         for t, b in rows[index[k]]:
             x[t] = x.get(t, 0) + m * b
     return x, d

@@ -5,18 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-from nestfock import basis_change, ring
+from nestfock import basis_change, incidence, partitions, ring
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def clear_memos():
-    """Empty every lru_cache of the matrix and product modules.
+    """Empty every lru_cache of the matrix, product, incidence and partition modules.
 
     A test that monkeypatches a matrix function calls this before and
     after, so no matrix built from the patched function outlives the test.
     """
-    for module in (basis_change, ring):
+    for module in (basis_change, ring, incidence, partitions):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()

@@ -16,6 +16,7 @@ from nestfock.basis_change import (
     _gram,
     _gram_solve,
     _operator_matrix,
+    _sparse_mul,
     b1_annihilation,
     b1_cotranslate,
     b1_creation,
@@ -273,6 +274,88 @@ class TestForwardSolve:
         lower = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
         with pytest.raises(ArithmeticError):
             forward_solve(lower, identity_rows(2), [0, 1])
+
+
+# rational entries with a good share of zeros, so rows and columns go empty
+NONZERO = st.fractions(-9, 9, max_denominator=12).filter(bool)
+ENTRIES = st.one_of(st.just(Fraction(0)), NONZERO)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def triangular_systems(draw):
+    """(lower, rhs, order): lower is triangular along the permutation order."""
+    size = draw(st.integers(0, 6))
+    width = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(size)))
+    lower = [[Fraction(0)] * size for _ in range(size)]
+    for rank, i in enumerate(order):
+        for j in order[:rank]:
+            lower[i][j] = draw(ENTRIES)
+        lower[i][i] = draw(NONZERO)
+    return lower, draw(matrices(size, width)), order
+
+
+def only_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+class TestIntegerKernels:
+    """The integer-scaled kernels against the dense Fraction oracles."""
+
+    @given(data=st.data(), shape=st.tuples(*[st.integers(0, 5)] * 3))
+    @settings(max_examples=100, deadline=None)
+    def test_sparse_mul_matches_mat_mul(self, data, shape):
+        r, k, c = shape
+        a = data.draw(matrices(r, k))
+        b = data.draw(matrices(k, c)) if k else []
+        product = _sparse_mul(a, b)
+        # mat_mul cannot read the width of an empty b: every row is empty then
+        assert product == (mat_mul(a, b) if k else [[] for _ in a])
+        assert only_fractions(product)
+
+    def test_sparse_mul_of_empty_matrices(self):
+        assert _sparse_mul([], []) == []
+
+    @given(system=triangular_systems())
+    @settings(max_examples=100, deadline=None)
+    def test_forward_solve_matches_mat_inv(self, system):
+        lower, rhs, order = system
+        x = forward_solve(lower, rhs, order)
+        assert x == (mat_mul(mat_inv(lower), rhs) if lower else [])
+        assert only_fractions(x)
+
+    def test_solution_need_not_be_integral(self):
+        lower = [[Fraction(-3), Fraction(0)], [Fraction(1, 2), Fraction(5, 7)]]
+        rhs = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2, 3)]]
+        expected = [[Fraction(-1, 3), Fraction(0)], [Fraction(7, 30), Fraction(14, 15)]]
+        assert forward_solve(lower, rhs, [0, 1]) == expected == mat_mul(mat_inv(lower), rhs)
+
+    @given(system=triangular_systems(), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_forward_solve_rejects_entry_above_diagonal(self, system, data):
+        lower, rhs, order = system
+        if len(order) < 2:
+            return
+        rank = data.draw(st.integers(0, len(order) - 2))
+        above = data.draw(st.sampled_from(order[rank + 1:]))
+        lower[order[rank]][above] = data.draw(NONZERO)
+        with pytest.raises(ArithmeticError):
+            forward_solve(lower, rhs, order)
+
+    @given(system=triangular_systems(), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_forward_solve_rejects_zero_pivot(self, system, data):
+        lower, rhs, order = system
+        if not order:
+            return
+        i = data.draw(st.sampled_from(order))
+        lower[i][i] = Fraction(0)
+        with pytest.raises(ArithmeticError):
+            forward_solve(lower, rhs, order)
 
 
 class TestGramRouteOracle:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestfock.fock import (
     B2Key,
@@ -54,6 +56,31 @@ class TestFockVector:
         assert vector_degree(U(key(2, [1])), b2_degree) == 3
         with pytest.raises(ValueError):
             vector_degree(U(key(0, [])) + U(key(1, [])), b2_degree)
+
+
+COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+VECTORS = st.dictionaries(
+    st.builds(key, st.integers(0, 2), st.sampled_from([[], [1], [2], [1, 1]])), COEFFS, max_size=6
+).map(FockVector)
+
+
+def stored(v):
+    """True if v stores only nonzero Fraction coefficients."""
+    return all(type(c) is Fraction and c for _, c in v.items())
+
+
+class TestVectorStorage:
+    @given(v=VECTORS, w=VECTORS, c=COEFFS)
+    @settings(max_examples=100, deadline=None)
+    def test_arithmetic_stores_only_nonzero_fractions(self, v, w, c):
+        merged = FockVector([*v.items(), *w.items()])
+        for u in (v, w, v - v, v + w, v - w, -v, c * v, v * c, merged):
+            assert stored(u)
+        assert not v - v
+        assert v - w == v + (-w)
+        assert merged == v + w
+        assert (v + w)[key(0, [1])] == v[key(0, [1])] + w[key(0, [1])]
+        assert (c * v)[key(1, [])] == c * v[key(1, [])]
 
 
 class TestOperators:
