@@ -158,7 +158,7 @@ class TransitionMatrix:
     p = sum_q rows[p][q] * q.  The entries are Fractions, stored as given.
     """
 
-    __slots__ = ("source", "target", "degree", "row_keys", "col_keys", "rows", "_index")
+    __slots__ = ("source", "target", "degree", "row_keys", "col_keys", "rows", "_index", "_ints")
 
     def __init__(self, source, target, degree, row_keys, col_keys, rows) -> None:
         self.source = source
@@ -172,18 +172,27 @@ class TransitionMatrix:
         ):
             raise ValueError("matrix shape does not match key lists")
         self._index = {k: i for i, k in enumerate(self.row_keys)}
+        self._ints = {}  # row key -> (nonzero (column, numerator) pairs, denominator)
 
     def expand(self, key) -> FockVector:
         return FockVector(zip(self.col_keys, self.rows[self._index[key]]))
 
     def apply(self, v: FockVector) -> FockVector:
-        """Image of a vector given in source-basis coordinates."""
-        acc: dict = {}
+        """Image of a vector in source-basis coordinates, summed in integers (rows scaled once)."""
+        terms = []
         for key, c in v.items():
-            for col, x in zip(self.col_keys, self.rows[self._index[key]]):
-                if x:
-                    acc[col] = acc.get(col, 0) + c * x
-        return FockVector(acc)
+            if key not in self._ints:
+                (row,), d = _integer_rows((self.rows[self._index[key]],))
+                self._ints[key] = ([(j, x) for j, x in enumerate(row) if x], d)
+            terms.append((c, self._ints[key]))
+        den = lcm(*(c.denominator * d for c, (_, d) in terms))
+        acc: dict = {}
+        for c, (nonzero, d) in terms:
+            f = c.numerator * (den // (c.denominator * d))
+            for j, x in nonzero:
+                acc[j] = acc.get(j, 0) + f * x
+        cols = self.col_keys
+        return FockVector._wrap({cols[j]: Fraction(x, den) for j, x in acc.items() if x})
 
     def __eq__(self, other) -> bool:
         return (
@@ -219,13 +228,15 @@ class TransitionMatrix:
         payload = {k: v for k, v in doc.items() if k != "checksum"}
         if doc.get("checksum") != _checksum(payload):
             raise CacheError("checksum mismatch")
+        parsed = {"0": _ZERO}  # each distinct entry goes through Fraction once
         return cls(
             doc["source"],
             doc["target"],
             doc["n"],
             [key_from_obj(doc["source"], o) for o in doc["key_order"]["rows"]],
             [key_from_obj(doc["target"], o) for o in doc["key_order"]["cols"]],
-            [[Fraction(x) for x in row] for row in doc["rows"]],
+            [[parsed[x] if x in parsed else parsed.setdefault(x, Fraction(x)) for x in row]
+             for row in doc["rows"]],
         )
 
 
@@ -320,22 +331,25 @@ def b3_in_b2_matrix(n: int) -> TransitionMatrix:
 def _gram(a: TransitionMatrix, weight) -> tuple[tuple[Fraction, ...], ...]:
     """G = A W A^T with W = diag(weight) over the column keys of A.
 
-    Each weight is evaluated once per column key, and the sums run over
-    the nonzero entries of A, one column at a time.
+    A and the weights are scaled to integers, the sums run over the
+    nonzero entries of A, one column at a time, and each entry of G is
+    one Fraction.
     """
-    size = len(a.rows)
-    g = [[Fraction(0)] * size for _ in range(size)]
-    for j, key in enumerate(a.col_keys):
-        w = weight(key)
-        column = [(r, row[j]) for r, row in enumerate(a.rows) if row[j]]
+    ints, d_a = _integer_rows(a.rows)
+    (ws,), d_w = _integer_rows(([weight(k) for k in a.col_keys],))
+    g = [[0] * len(ints) for _ in ints]
+    for j, w in enumerate(ws):
+        column = [(r, row[j]) for r, row in enumerate(ints) if row[j]]
         for i, (r, x) in enumerate(column):
             xw = x * w
             for s, y in column[i:]:
                 g[r][s] += xw * y
-    for r in range(size):
-        for s in range(r):
-            g[r][s] = g[s][r]
-    return tuple(tuple(row) for row in g)
+    den = d_a * d_a * d_w
+    out = []
+    for r, row in enumerate(g):
+        upper = [Fraction(x, den) if x else _ZERO for x in row[r:]]
+        out.append([out[s][r] for s in range(r)] + upper)
+    return tuple(map(tuple, out))
 
 
 @lru_cache(maxsize=None)

@@ -78,7 +78,7 @@ class FockVector:
 
     @classmethod
     def unit(cls, key: Hashable) -> "FockVector":
-        return cls([(key, Fraction(1))])
+        return cls._wrap({key: Fraction(1)})
 
     @classmethod
     def zero(cls) -> "FockVector":
@@ -131,8 +131,11 @@ class FockVector:
     __rmul__ = __mul__
 
     def map_keys(self, fn: Callable[[Hashable], Hashable]) -> "FockVector":
-        """Relabel keys through fn (a bijection on the support)."""
-        return FockVector([(fn(k), c) for k, c in self._terms.items()])
+        """Relabel keys through fn; terms whose new keys coincide are added."""
+        data = {fn(k): c for k, c in self._terms.items()}
+        if len(data) < len(self._terms):
+            return FockVector((fn(k), c) for k, c in self._terms.items())
+        return FockVector._wrap(data)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FockVector) and self._terms == other._terms
@@ -169,24 +172,24 @@ def creation(n: int, v: FockVector) -> FockVector:
     """Creation operator of index n >= 1 on the operator basis."""
     if n < 1:
         raise ValueError("creation index must be positive")
-    return v.map_keys(lambda k: B2Key(k.i, insert_part(k.nu, n)))
+    return FockVector._wrap({B2Key(k.i, insert_part(k.nu, n)): c for k, c in v.items()})
 
 
 def annihilation(n: int, v: FockVector) -> FockVector:
     """Annihilation operator of index n >= 1: (i, nu) -> n*m_n(nu)*(i, nu minus n)."""
     if n < 1:
         raise ValueError("annihilation index must be positive")
-    out = []
+    out = {}
     for k, c in v.items():
         m = k.nu.multiplicity(n)
         if m:
-            out.append((B2Key(k.i, remove_part(k.nu, n)), c * n * m))
-    return FockVector(out)
+            out[B2Key(k.i, remove_part(k.nu, n))] = c * (n * m)
+    return FockVector._wrap(out)
 
 
 def translate(v: FockVector) -> FockVector:
     """Translation operator: (i, nu) -> (i+1, nu)."""
-    return v.map_keys(lambda k: B2Key(k.i + 1, k.nu))
+    return FockVector._wrap({B2Key(k.i + 1, k.nu): c for k, c in v.items()})
 
 
 def cotranslate(v: FockVector) -> FockVector:
@@ -197,7 +200,7 @@ def cotranslate(v: FockVector) -> FockVector:
 def translate_pow(v: FockVector, j: int) -> FockVector:
     if j < 0:
         raise ValueError("translation power must be nonnegative")
-    return v.map_keys(lambda k: B2Key(k.i + j, k.nu)) if j else v
+    return FockVector._wrap({B2Key(k.i + j, k.nu): c for k, c in v.items()}) if j else v
 
 
 def loop_action(j: int, n: int, v: FockVector) -> FockVector:

@@ -42,7 +42,7 @@ class IncidencePair:
     increments (0 when mu appends a new part 1).
     """
 
-    __slots__ = ("_lam", "_mu", "_cell")
+    __slots__ = ("_lam", "_mu", "_cell", "_hash")
 
     def __init__(self, lam: Partition, mu: Partition) -> None:
         if mu.size != lam.size + 1:
@@ -59,6 +59,7 @@ class IncidencePair:
         object.__setattr__(self, "_lam", lam)
         object.__setattr__(self, "_mu", mu)
         object.__setattr__(self, "_cell", cell)
+        object.__setattr__(self, "_hash", hash((lam, mu)))
 
     def __setattr__(self, name, value):
         raise AttributeError("IncidencePair is immutable")
@@ -94,7 +95,7 @@ class IncidencePair:
         )
 
     def __hash__(self) -> int:
-        return hash((self._lam, self._mu))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"IncidencePair({list(self._lam)}, {list(self._mu)})"

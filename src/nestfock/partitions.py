@@ -28,13 +28,15 @@ class Partition:
     sorted in descending order and zero parts are rejected.
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ("_parts", "_hash")
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
         ps = tuple(int(p) for p in parts)
         if any(p < 1 for p in ps):
             raise ValueError(f"parts must be positive integers, got {ps}")
-        object.__setattr__(self, "_parts", tuple(sorted(ps, reverse=True)))
+        ps = tuple(sorted(ps, reverse=True))
+        object.__setattr__(self, "_parts", ps)
+        object.__setattr__(self, "_hash", hash(ps))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -92,7 +94,7 @@ class Partition:
         return isinstance(other, Partition) and self._parts == other._parts
 
     def __hash__(self) -> int:
-        return hash(self._parts)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Partition({list(self._parts)})"
@@ -221,6 +223,7 @@ def add_corner(lam: Partition, cell: Cell) -> Partition:
     return Partition(ps)
 
 
+@lru_cache(maxsize=None)
 def insert_part(lam: Partition, value: int) -> Partition:
     """Partition with one extra part of the given positive value."""
     if value < 1:
@@ -228,6 +231,7 @@ def insert_part(lam: Partition, value: int) -> Partition:
     return Partition(lam.parts + (value,))
 
 
+@lru_cache(maxsize=None)
 def remove_part(lam: Partition, value: int) -> Partition:
     """Partition with one copy of the given part value removed."""
     ps = list(lam.parts)

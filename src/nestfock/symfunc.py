@@ -2,11 +2,11 @@
 
 Symmetric functions are stored as sparse vectors over partition keys
 in the power-sum basis; elements of the polynomial extension carry an
-extra exponent.  The monomial transition is computed by honest
-expansion of power sums in finitely many variables (degree-many
-variables suffice), so it serves as an oracle independent of the
-curve-class recursions.  ``character`` is ``partitions.character``,
-imported here under the same name.
+extra exponent.  The monomial transition counts the ways to distribute
+the parts of nu among the rows of lam (the coefficient of m_lam in
+p_nu), with no characters and no curve classes, so it serves as an
+oracle independent of the curve-class recursions.  ``character`` is
+``partitions.character``, imported here under the same name.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .basis_change import _expansion_matrix, forward_solve, identity_rows, partition_keys
 from .fock import B2Key, FockVector, diagonal_pairing
-from .partitions import Partition, character, z_factor
+from .partitions import Partition, character, enumerate_partitions, z_factor
 from .ring import star_tilde
 
 
@@ -33,29 +33,27 @@ class PolyVKey(NamedTuple):
 
 
 def p_in_m(nu: Partition) -> FockVector:
-    """Power-sum p_nu expanded in the monomial basis, by brute force.
+    """Power-sum p_nu expanded in the monomial basis, by counting.
 
-    Multiplies out prod_j (x_1^nu_j + ... + x_d^nu_j) with d = |nu|
-    variables and reads off the coefficient of the canonical monomial
-    of each shape.
+    The coefficient of m_lam is the number of ways to put each part of
+    nu into a row of lam so that the parts in every row sum to its
+    length.  The count runs over the multiset of row lengths still to
+    fill, one part of nu at a time: a part p goes into any of the c
+    rows with c copies of a remaining length r >= p.
     """
-    n = nu.size
-    if n == 0:
-        return FockVector.unit(Partition())
-    nvars = n
-    poly: dict[tuple[int, ...], int] = {(0,) * nvars: 1}
-    for part in nu.parts:
-        nxt: dict[tuple[int, ...], int] = {}
-        for expv, c in poly.items():
-            for i in range(nvars):
-                e2 = expv[:i] + (expv[i] + part,) + expv[i + 1:]
-                nxt[e2] = nxt.get(e2, 0) + c
-        poly = nxt
-    out = []
-    for expv, c in poly.items():
-        shape = tuple(sorted((e for e in expv if e), reverse=True))
-        if expv == shape + (0,) * (nvars - len(shape)):
-            out.append((Partition(shape), Fraction(c)))
+    out = {}
+    for lam in enumerate_partitions(nu.size):
+        ways = {lam.parts: 1}
+        for part in nu.parts:
+            nxt: dict[tuple[int, ...], int] = {}
+            for rest, c in ways.items():
+                for r in set(rest):
+                    if r >= part:
+                        i = rest.index(r)
+                        key = tuple(sorted(rest[:i] + rest[i + 1:] + (r - part,), reverse=True))
+                        nxt[key] = nxt.get(key, 0) + c * rest.count(r)
+            ways = nxt
+        out[lam] = ways.get((0,) * lam.length, 0)
     return FockVector(out)
 
 

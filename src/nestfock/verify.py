@@ -106,32 +106,26 @@ def _b1_translate_pow(v: FockVector, n: int, j: int) -> FockVector:
 # suites
 
 def suite_hooks(max_n: int = 10) -> list[CheckResult]:
-    """Sum rules for the incidence hook products."""
-    bad = []
+    """Sum rules for the incidence hook products, one pass over the pairs of each degree."""
+    bad_lam, bad_mu = [], []
     for n in range(max_n + 1):
-        for lam in enumerate_partitions(n):
-            total = sum(
-                Fraction(hook_product(lam) ** 2, h_pair(p))
-                for p in enumerate_incidence_pairs(n)
-                if p.lam == lam
-            )
-            if total != 1:
-                bad.append({"lambda": lam.as_list(), "sum": str(total)})
-    out = [_result(f"sum over mu of h(lam)^2/h(lam,mu) = 1, |lam| <= {max_n}", bad)]
-
-    bad = []
-    for n in range(max_n + 1):
+        by_lam: dict[Partition, Fraction] = {}
         by_mu: dict[Partition, Fraction] = {}
-        for p in enumerate_incidence_pairs(n):
-            term = Fraction(hook_product(p.mu) ** 2, h_pair(p))
-            by_mu[p.mu] = by_mu.get(p.mu, Fraction(0)) + term
+        for p in pair_keys(n):
+            h = h_pair(p)
+            by_lam[p.lam] = by_lam.get(p.lam, 0) + Fraction(hook_product(p.lam) ** 2, h)
+            by_mu[p.mu] = by_mu.get(p.mu, 0) + Fraction(hook_product(p.mu) ** 2, h)
+        for lam in enumerate_partitions(n):
+            total = by_lam.get(lam, 0)
+            if total != 1:
+                bad_lam.append({"lambda": lam.as_list(), "sum": str(total)})
         for mu, total in by_mu.items():
             if total != mu.size:
-                bad.append({"mu": mu.as_list(), "sum": str(total)})
-    out.append(
-        _result(f"sum over lam of h(mu)^2/h(lam,mu) = |mu|, |mu| <= {max_n + 1}", bad)
-    )
-    return out
+                bad_mu.append({"mu": mu.as_list(), "sum": str(total)})
+    return [
+        _result(f"sum over mu of h(lam)^2/h(lam,mu) = 1, |lam| <= {max_n}", bad_lam),
+        _result(f"sum over lam of h(mu)^2/h(lam,mu) = |mu|, |mu| <= {max_n + 1}", bad_mu),
+    ]
 
 
 def suite_euler(max_n: int = 8) -> list[CheckResult]:

@@ -13,6 +13,7 @@ from nestfock import basis_change
 from nestfock.basis_change import (
     CacheError,
     TransitionMatrix,
+    _checksum,
     _gram,
     _gram_solve,
     _operator_matrix,
@@ -358,6 +359,43 @@ class TestIntegerKernels:
             forward_solve(lower, rhs, order)
 
 
+class TestIntegerApplyAndGram:
+    """TransitionMatrix.apply and _gram against term-by-term Fraction sums."""
+
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 5), st.integers(0, 5)))
+    @settings(max_examples=100, deadline=None)
+    def test_apply_matches_fraction_sum(self, data, shape):
+        r, c = shape
+        mat = TransitionMatrix("x", "y", 0, range(r), range(c), data.draw(matrices(r, c)))
+        coeffs = data.draw(st.dictionaries(st.integers(0, r - 1), NONZERO, max_size=r))
+        v = FockVector(coeffs)
+        acc = {}
+        for k, x in v.items():
+            for col, y in zip(mat.col_keys, mat.rows[k]):
+                acc[col] = acc.get(col, Fraction(0)) + x * y
+        want = FockVector(acc)
+        # the second call reads the rows scaled by the first
+        for _ in range(2):
+            image = mat.apply(v)
+            assert image == want
+            assert all(type(x) is Fraction and x for _, x in image.items())
+
+    @given(data=st.data(), shape=st.tuples(st.integers(0, 5), st.integers(0, 5)))
+    @settings(max_examples=100, deadline=None)
+    def test_gram_matches_fraction_sum(self, data, shape):
+        r, c = shape
+        rows = data.draw(matrices(r, c))
+        weights = data.draw(st.lists(ENTRIES, min_size=c, max_size=c))
+        mat = TransitionMatrix("x", "y", 0, range(r), range(c), rows)
+        want = tuple(
+            tuple(sum((a[j] * weights[j] * b[j] for j in range(c)), Fraction(0)) for b in rows)
+            for a in rows
+        )
+        gram = _gram(mat, weights.__getitem__)
+        assert gram == want
+        assert only_fractions(gram)
+
+
 class TestGramRouteOracle:
     """The closed-form B and M = A B against the Gram solve they replaced."""
 
@@ -602,6 +640,25 @@ class TestCache:
         (tmp_path / name).write_text(path.read_text())
         with pytest.raises(CacheError, match="is not the"):
             cache_load(*route, tmp_path)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_every_document_parses_to_the_fractions_of_its_strings(self, n):
+        for route in ROUTES:
+            doc = json.loads(json.dumps(transition_matrix(*route, n).to_json_doc()))
+            loaded = TransitionMatrix.from_json_doc(doc)
+            assert loaded == transition_matrix(*route, n)
+            assert loaded.rows == tuple(tuple(Fraction(x) for x in row) for row in doc["rows"])
+            assert only_fractions(loaded.rows)
+
+    @pytest.mark.parametrize("entry", ["1/0", "abc", "1.5/2", "1/-2", "", None, [1]])
+    def test_checksum_valid_bad_entry_raises_as_fraction_does(self, entry):
+        doc = b2_in_b1(2).to_json_doc()
+        doc["rows"][1][0] = entry
+        doc["checksum"] = _checksum({k: v for k, v in doc.items() if k != "checksum"})
+        with pytest.raises(Exception) as expected:
+            Fraction(entry)
+        with pytest.raises(expected.type):
+            TransitionMatrix.from_json_doc(doc)
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "b2--b1--1.json"

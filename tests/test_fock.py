@@ -83,6 +83,23 @@ class TestVectorStorage:
         assert (c * v)[key(1, [])] == c * v[key(1, [])]
 
 
+class TestMapKeys:
+    def test_injective_relabel_keeps_coefficients(self):
+        v = 2 * U(key(0, [1])) - U(key(1, []))
+        w = v.map_keys(lambda k: B2Key(k.i + 3, k.nu))
+        assert w == 2 * U(key(3, [1])) - U(key(4, []))
+        assert stored(w)
+
+    def test_colliding_keys_merge_and_cancel(self):
+        v = U(key(0, [1])) + 2 * U(key(0, [2])) - U(key(0, [1, 1, 1]))
+        # [1] and [1, 1, 1] both go to 1 and cancel; [2] goes to 0
+        w = v.map_keys(lambda k: k.nu.size % 2)
+        assert w == FockVector({0: 2}) and len(w) == 1
+        assert stored(w)
+        merged = (U(key(0, [1])) + U(key(1, []))).map_keys(lambda k: "one")
+        assert merged == FockVector({"one": 2}) and stored(merged)
+
+
 class TestOperators:
     def test_creation(self):
         assert creation(2, VACUUM) == U(key(0, [2]))

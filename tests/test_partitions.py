@@ -74,6 +74,26 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             remove_part(P([2, 1]), 3)
 
+    def test_memoized_surgery_still_rejects_bad_input(self):
+        lam = P([2, 1])
+        assert insert_part(lam, 1) == P([2, 1, 1]) and remove_part(lam, 2) == P([1])
+        # a failed call is not cached: every repeat raises again
+        for _ in range(2):
+            for bad in (0, -1):
+                with pytest.raises(ValueError):
+                    insert_part(lam, bad)
+            for absent in (3, 0):
+                with pytest.raises(ValueError):
+                    remove_part(lam, absent)
+        with pytest.raises(ValueError):
+            remove_part(P([]), 1)
+
+    @given(st.lists(st.integers(1, 9), max_size=8))
+    @settings(max_examples=200)
+    def test_hash_is_that_of_the_sorted_parts(self, parts):
+        lam = P(parts)
+        assert hash(lam) == hash(P(sorted(parts, reverse=True))) == hash(lam.parts)
+
 
 class TestEnumeration:
     def test_trivial_cases(self):

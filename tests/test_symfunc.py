@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from oracles import p_in_m_expanded
 from nestfock.basis_change import (
     b1_in_b2,
     hilb_fixed_in_p,
@@ -50,6 +51,11 @@ class TestMonomialTransition:
                 for nu, c in m_in_p(lam).items():
                     acc = acc + c * p_in_m(nu)
                 assert acc == U(lam)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_counting_matches_polynomial_expansion(self, n):
+        for nu in enumerate_partitions(n):
+            assert p_in_m(nu) == p_in_m_expanded(nu), nu
 
     @pytest.mark.parametrize("n", range(8))
     def test_m_to_p_matches_gauss_jordan(self, n):

@@ -36,6 +36,84 @@ def perturbed(n, a, t, delta):
     return fake
 
 
+class TestSuiteHooks:
+    def test_passes_unperturbed(self):
+        assert all(r.ok for r in verify.suite_hooks(6))
+
+    @pytest.mark.parametrize("n", [0, 2, 4])
+    def test_bumped_hook_product_fails_both_sums(self, n, monkeypatch):
+        """h(lam, mu) + 1 at one pair moves the lam-sum and the mu-sum it enters."""
+        bumped = pair_keys(n)[-1]
+        monkeypatch.setattr(verify, "h_pair", lambda p: h_pair(p) + (p == bumped))
+        by_lam, by_mu = verify.suite_hooks(n)
+        assert not by_lam.ok and not by_mu.ok
+        assert [f["lambda"] for f in json.loads(by_lam.detail)] == [bumped.lam.as_list()]
+        assert [f["mu"] for f in json.loads(by_mu.detail)] == [bumped.mu.as_list()]
+
+
+# the checks each suite reports at --max-n 2, in order
+CHECK_NAMES = {
+    "hooks": [
+        "sum over mu of h(lam)^2/h(lam,mu) = 1, |lam| <= 2",
+        "sum over lam of h(mu)^2/h(lam,mu) = |mu|, |mu| <= 3",
+    ],
+    "euler": [
+        "weight product = (-1)^(n+1) h(lam,mu), n <= 2",
+        "positive weight product = h_plus(lam,mu), n <= 2",
+    ],
+    "heisenberg": [
+        "[a_p, a_q] = p delta Id on degrees <= 2, |p|,|q| <= 4",
+        "cotranslate after translate = Id, degrees < 2",
+        "translation pair commutes with a_p, degrees <= 2",
+    ],
+    "loop": [
+        "loop bracket identities on degrees <= 2",
+        "index-0 generator acts as zero",
+    ],
+    "pairing": [
+        "pair_b2 = pair_b1 after change of basis, n <= 2",
+    ],
+    "roundtrip": [
+        "b1_in_b2 * b2_in_b1 = Id, n <= 2",
+        "b3_in_b1 triangular for product dominance, diagonal 1/h_plus, n <= 2",
+        "gram consistency A Z A^T = M H M^T, n <= 2",
+        "shared-part choice independence, n <= 2",
+    ],
+    "phi": [
+        "curve classes map to monomial functions, |lam| <= 2",
+        "Hall pairing is z_lam delta, |lam| <= 2",
+        "fixed classes have norm h^2 and image h(lam) m_lam + lower terms, |lam| <= 2",
+        "curve classes L F^-1 triangular, diagonal 1/h, |lam| <= 2",
+        "diagonal law for normalized fixed classes, n <= 2",
+    ],
+    "diagrams": [
+        "pullback_f intertwines creation, degrees <= 2",
+        "pullback_g intertwines annihilation, degrees <= 2",
+        "vacuum relation g(a_-m vacuum) = m t^(m-1) vacuum, m <= 2",
+        "mixed relation for g after creation, degrees <= 2",
+        "comparison maps are ring homomorphisms, n <= 2",
+        "bilinear form transport laws, n <= 2",
+    ],
+    "ordinary": [
+        "unit exists with u_n = n!, n <= 2",
+        "commutative and associative on basis triples, n <= 2",
+        "degree additivity and Betti-zero vanishing, n <= 2",
+        "top class squares to zero on the 1-point incidence scheme",
+    ],
+    "betti": [
+        "betti series = cell counts = dimensions, n <= 2",
+    ],
+}
+
+
+def test_every_suite_reports_its_checks():
+    assert list(CHECK_NAMES) == list(verify.SUITES)
+    for suite, names in CHECK_NAMES.items():
+        results = verify.run_suite(suite, 2)
+        assert [r.name for r in results] == names, suite
+        assert all(r.ok for r in results), suite
+
+
 class TestSuitePairing:
     def test_passes_unperturbed(self):
         assert all(r.ok for r in verify.suite_pairing(5))
