@@ -38,7 +38,6 @@ explicit error.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -64,8 +63,8 @@ from .incidence import IncidencePair, enumerate_incidence_pairs, h_pair
 from .partitions import (
     Partition,
     character,
-    enumerate_partitions,
     hook_product,
+    partition_keys,
     remove_part,
     z_factor,
 )
@@ -129,11 +128,6 @@ def pair_keys(n: int) -> tuple[IncidencePair, ...]:
 @lru_cache(maxsize=None)
 def operator_keys(n: int) -> tuple[B2Key, ...]:
     return tuple(b2_keys(n))
-
-
-@lru_cache(maxsize=None)
-def partition_keys(n: int) -> tuple[Partition, ...]:
-    return tuple(enumerate_partitions(n))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +235,8 @@ class TransitionMatrix:
 
 
 def _checksum(payload: dict) -> str:
+    import hashlib  # here, not at the top: only cache documents need OpenSSL
+
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -774,5 +770,5 @@ def cache_load(source: str, target: str, n: int, cache_dir) -> TransitionMatrix 
         raise CacheError(f"cache file {path} is not the {source}->{target} matrix at n={n}")
     try:
         return TransitionMatrix.from_json_doc(doc)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise CacheError(f"malformed cache file {path}: {exc}") from exc

@@ -17,7 +17,6 @@ variable NESTFOCK_CACHE_DIR, else ``.nestfock-cache``).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -104,6 +103,8 @@ def _emit_json(doc) -> None:
 
 
 def _emit_csv(rows: list[list[str]]) -> None:
+    import csv  # here, not at the top: only csv output needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)

@@ -18,9 +18,9 @@ from typing import Callable, Hashable, Iterable, NamedTuple
 from .incidence import h_pair
 from .partitions import (
     Partition,
-    enumerate_partitions,
     hook_product,
     insert_part,
+    partition_keys,
     remove_part,
     z_factor,
 )
@@ -41,7 +41,7 @@ class B2Key(NamedTuple):
 
 
 VACUUM = B2Key(0, Partition())
-_ZERO = Fraction(0)  # one shared zero for every absent key; Fractions are immutable
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared by absent keys and unit vectors; immutable
 
 
 class FockVector:
@@ -78,7 +78,7 @@ class FockVector:
 
     @classmethod
     def unit(cls, key: Hashable) -> "FockVector":
-        return cls._wrap({key: Fraction(1)})
+        return cls._wrap({key: _ONE})
 
     @classmethod
     def zero(cls) -> "FockVector":
@@ -151,7 +151,7 @@ def b2_keys(n: int) -> list[B2Key]:
     """Operator-basis keys of degree n: i descending, nu in reverse-lex order."""
     out = []
     for i in range(n, -1, -1):
-        for nu in enumerate_partitions(n - i):
+        for nu in partition_keys(n - i):
             out.append(B2Key(i, nu))
     return out
 
@@ -219,7 +219,7 @@ def loop_action(j: int, n: int, v: FockVector) -> FockVector:
 
 def diagonal_pairing(v: FockVector, w: FockVector, weight: Callable) -> Fraction:
     """Pairing of a basis that is orthogonal, with weight(k) the self-pairing of k."""
-    out = Fraction(0)
+    out = _ZERO
     small, big = (v, w) if len(v) <= len(w) else (w, v)
     for k, c in small.items():
         d = big[k]

@@ -25,10 +25,10 @@ from .partitions import (
     Partition,
     add_corner,
     canonical_generators,
-    enumerate_partitions,
     hook_length,
     hook_product,
     insert_part,
+    partition_keys,
     remove_part,
     step_length,
 )
@@ -47,12 +47,12 @@ class IncidencePair:
     def __init__(self, lam: Partition, mu: Partition) -> None:
         if mu.size != lam.size + 1:
             raise ValueError(f"sizes {lam.size}, {mu.size} are not consecutive")
-        cell = None
-        for r in range(mu.length):
-            lp = lam[r] if r < lam.length else 0
-            if mu[r] == lp + 1 and cell is None:
+        cell, rows = None, lam.parts
+        for r, m in enumerate(mu.parts):
+            lp = rows[r] if r < len(rows) else 0
+            if m == lp + 1 and cell is None:
                 cell = Cell(r, lp)
-            elif mu[r] != lp:
+            elif m != lp:
                 raise ValueError(f"{mu} does not cover {lam}")
         if cell is None:
             raise ValueError(f"{mu} does not cover {lam}")
@@ -123,7 +123,7 @@ class EulerClass(NamedTuple):
 def enumerate_incidence_pairs(n: int) -> list[IncidencePair]:
     """All pairs with |lam| = n, lam in reverse-lex order, corners top-down."""
     out = []
-    for lam in enumerate_partitions(n):
+    for lam in partition_keys(n):
         for corner in canonical_generators(lam):
             out.append(IncidencePair(lam, add_corner(lam, corner.cell)))
     return out
@@ -179,13 +179,15 @@ def _marked_product(pair: IncidencePair, power: int, above_k_only: bool, name: s
     """
     lam = pair.lam
     mc = marked_cells(pair)
-    out = Fraction(hook_product(lam)) ** power
+    num, den = hook_product(lam) ** power, 1
     for j in mc.sq:
         if j > mc.k or not above_k_only:
-            out *= Fraction(1 + hook_length(lam, mc.sq[j]), hook_length(lam, mc.sqp[j]))
-    if out.denominator != 1 or out <= 0:
-        raise ArithmeticError(f"{name} = {out} is not a positive integer for {pair}")
-    return int(out)
+            num *= 1 + hook_length(lam, mc.sq[j])
+            den *= hook_length(lam, mc.sqp[j])
+    if num % den or num <= 0:
+        msg = f"{name} = {Fraction(num, den)} is not a positive integer for {pair}"
+        raise ArithmeticError(msg)
+    return num // den
 
 
 @lru_cache(maxsize=None)
@@ -318,7 +320,7 @@ def betti_from_fixed_points(n: int) -> list[int]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     counts = [0] * (n + 1)
-    for mu in enumerate_partitions(n + 1):
+    for mu in partition_keys(n + 1):
         k = (n + 1) - mu.length
         counts[k] += step_length(mu.conjugate())
     return counts

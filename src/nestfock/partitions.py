@@ -12,6 +12,7 @@ z-direction and columns in the w-direction.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -31,8 +32,8 @@ class Partition:
     __slots__ = ("_parts", "_hash")
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
-        ps = tuple(int(p) for p in parts)
-        if any(p < 1 for p in ps):
+        ps = tuple(map(int, parts))
+        if ps and min(ps) < 1:
             raise ValueError(f"parts must be positive integers, got {ps}")
         ps = tuple(sorted(ps, reverse=True))
         object.__setattr__(self, "_parts", ps)
@@ -60,6 +61,7 @@ class Partition:
         """Distinct part values in descending order."""
         return tuple(sorted(set(self._parts), reverse=True))
 
+    @lru_cache(maxsize=None)
     def conjugate(self) -> "Partition":
         if not self._parts:
             return Partition()
@@ -139,6 +141,12 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return out
 
 
+@lru_cache(maxsize=None)
+def partition_keys(n: int) -> tuple[Partition, ...]:
+    """enumerate_partitions(n) as a tuple, built once per n."""
+    return tuple(enumerate_partitions(n))
+
+
 def hook_length(lam: Partition, cell: Cell) -> int:
     """Arm plus leg plus one of a cell inside the diagram."""
     if cell not in lam:
@@ -163,6 +171,7 @@ def step_length(lam: Partition) -> int:
     return len(set(lam.parts))
 
 
+@lru_cache(maxsize=None)
 def z_factor(nu: Partition) -> int:
     """Product over part values j of j^{m_j} * m_j!."""
     out = 1
@@ -177,15 +186,16 @@ def dominance_le(lam1: Partition, lam2: Partition) -> bool:
     if lam1.size != lam2.size:
         return False
     s1 = s2 = 0
-    for k in range(max(lam1.length, lam2.length)):
-        s1 += lam1[k] if k < lam1.length else 0
-        s2 += lam2[k] if k < lam2.length else 0
+    for a, b in zip_longest(lam1.parts, lam2.parts, fillvalue=0):
+        s1 += a
+        s2 += b
         if s1 > s2:
             return False
     return True
 
 
-def canonical_generators(lam: Partition) -> list[Corner]:
+@lru_cache(maxsize=None)
+def canonical_generators(lam: Partition) -> tuple[Corner, ...]:
     """Addable corners of the diagram, top-right to bottom-left.
 
     Corner j sits at row p_0+...+p_{j-1} and column equal to the j-th
@@ -205,7 +215,7 @@ def canonical_generators(lam: Partition) -> list[Corner]:
         p = lam.multiplicity(values[j]) if j < m else None
         q = cols[j - 1] - cols[j] if j >= 1 else None
         corners.append(Corner(j, Cell(rows[j], cols[j]), p, q))
-    return corners
+    return tuple(corners)
 
 
 def add_corner(lam: Partition, cell: Cell) -> Partition:
@@ -256,20 +266,15 @@ def character(lam: Partition, nu: Partition) -> int:
     if lam.size == 0:
         return 1
     r = nu[0]
-    rest = Partition(nu.parts[1:])
-    length = lam.length
-    betas = [lam[i] + (length - 1 - i) for i in range(length)]
-    bset = set(betas)
+    rest = remove_part(nu, r)
+    m = lam.length
+    betas = [p + m - 1 - i for i, p in enumerate(lam.parts)]
     total = 0
-    for idx, b in enumerate(betas):
+    for b in betas:
         nb = b - r
-        if nb < 0 or nb in bset:
+        if nb < 0 or nb in betas:
             continue
-        height = sum(1 for x in betas if nb < x < b)
-        rest_betas = sorted((x for j, x in enumerate(betas) if j != idx), reverse=True)
-        rest_betas.append(nb)
-        rest_betas.sort(reverse=True)
-        m = len(rest_betas)
-        parts = [rest_betas[i] - (m - 1 - i) for i in range(m) if rest_betas[i] - (m - 1 - i) > 0]
-        total += (-1) ** height * character(Partition(parts), rest)
+        new = sorted([x for x in betas if x != b] + [nb], reverse=True)
+        parts = [x - (m - 1 - i) for i, x in enumerate(new) if x > m - 1 - i]
+        total += (-1) ** sum(nb < x < b for x in betas) * character(Partition(parts), rest)
     return total

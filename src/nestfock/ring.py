@@ -221,19 +221,25 @@ def ordinary_unit_scale(n: int) -> Fraction:
     return _unit_data(n)[0]
 
 
+@lru_cache(maxsize=None)
+def _pullback_image(mu: Partition, to_f: bool) -> tuple:
+    """Terms (pair, weight) of pullback_f([mu]) if to_f, else of pullback_g([mu])."""
+    h2 = hook_product(mu) ** 2
+    if to_f:
+        pairs = [IncidencePair(mu, add_corner(mu, c.cell)) for c in canonical_generators(mu)]
+        return tuple((p, -Fraction(h2, h_pair(p))) for p in pairs)
+    pairs = [IncidencePair(derive_lambda(mu, i), mu) for i in set(mu.parts)]
+    return tuple((p, Fraction(h2, h_pair(p))) for p in pairs)
+
+
 def pullback_f(v: FockVector) -> FockVector:
     """Comparison map from n-point fixed classes to incidence fixed classes.
 
     [lam] maps to minus the sum over incidence partners mu of
-    hook_product(lam)^2 / h(lam, mu) times [lam, mu].
+    hook_product(lam)^2 / h(lam, mu) times [lam, mu].  Each key's image
+    is built once and v is mapped by linearity.
     """
-    out = []
-    for lam, c in v.items():
-        h2 = hook_product(lam) ** 2
-        for corner in canonical_generators(lam):
-            p = IncidencePair(lam, add_corner(lam, corner.cell))
-            out.append((p, -c * Fraction(h2, h_pair(p))))
-    return FockVector(out)
+    return FockVector([(p, c * w) for lam, c in v.items() for p, w in _pullback_image(lam, True)])
 
 
 def pullback_g(v: FockVector) -> FockVector:
@@ -241,14 +247,12 @@ def pullback_g(v: FockVector) -> FockVector:
 
     [mu] maps to the sum over incidence partners lam of
     hook_product(mu)^2 / h(lam, mu) times [lam, mu].  Undefined on
-    degree 0.
+    degree 0.  Each key's image is built once and v is mapped by
+    linearity.
     """
     out = []
     for mu, c in v.items():
         if mu.size == 0:
             raise ValueError("the map is undefined below one point")
-        h2 = hook_product(mu) ** 2
-        for i in set(mu.parts):
-            p = IncidencePair(derive_lambda(mu, i), mu)
-            out.append((p, c * Fraction(h2, h_pair(p))))
+        out.extend((p, c * w) for p, w in _pullback_image(mu, False))
     return FockVector(out)

@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .basis_change import _expansion_matrix, forward_solve, identity_rows, partition_keys
+from .basis_change import _expansion_matrix, forward_solve, identity_rows
 from .fock import B2Key, FockVector, diagonal_pairing
-from .partitions import Partition, character, enumerate_partitions, z_factor
+from .partitions import Partition, character, partition_keys, z_factor
 from .ring import star_tilde
 
 
@@ -42,7 +42,7 @@ def p_in_m(nu: Partition) -> FockVector:
     rows with c copies of a remaining length r >= p.
     """
     out = {}
-    for lam in enumerate_partitions(nu.size):
+    for lam in partition_keys(nu.size):
         ways = {lam.parts: 1}
         for part in nu.parts:
             nxt: dict[tuple[int, ...], int] = {}

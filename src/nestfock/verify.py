@@ -59,8 +59,8 @@ from .incidence import (
 from .partitions import (
     Partition,
     dominance_le,
-    enumerate_partitions,
     hook_product,
+    partition_keys,
     z_factor,
 )
 from .ring import (
@@ -115,7 +115,7 @@ def suite_hooks(max_n: int = 10) -> list[CheckResult]:
             h = h_pair(p)
             by_lam[p.lam] = by_lam.get(p.lam, 0) + Fraction(hook_product(p.lam) ** 2, h)
             by_mu[p.mu] = by_mu.get(p.mu, 0) + Fraction(hook_product(p.mu) ** 2, h)
-        for lam in enumerate_partitions(n):
+        for lam in partition_keys(n):
             total = by_lam.get(lam, 0)
             if total != 1:
                 bad_lam.append({"lambda": lam.as_list(), "sum": str(total)})
@@ -219,28 +219,41 @@ def suite_heisenberg(max_n: int = 6, max_index: int = 4) -> list[CheckResult]:
 
 
 def suite_loop(max_n: int = 6) -> list[CheckResult]:
-    """Loop bracket on the operator basis: translations carry the grading."""
-    bad = []
+    """Loop bracket on the operator basis: translations carry the grading.
+
+    Each image loop_action(j, p, key) is built once, over keys numbered
+    as they appear and with the coefficients as ints (Fractions if one
+    were not integral); both orders of every (j1, p, j2, q, key) case
+    are composed from the images by linearity and compared exactly.
+    """
+    ops = [(j, p) for j in range(3) for p in (-3, -2, -1, 1, 2, 3)]
     keys = [k for d in range(max_n + 1) for k in b2_keys(d)]
-    for j1 in range(3):
-        for j2 in range(3):
-            for p in (-3, -2, -1, 1, 2, 3):
-                for q in (-3, -2, -1, 1, 2, 3):
-                    for key in keys:
-                        v = FockVector.unit(key)
-                        lhs = loop_action(j1, p, loop_action(j2, q, v)) - loop_action(
-                            j2, q, loop_action(j1, p, v)
-                        )
-                        rhs = (
-                            Fraction(p)
-                            * FockVector.unit(B2Key(key.i + j1 + j2, key.nu))
-                            if p == -q
-                            else FockVector()
-                        )
-                        if lhs != rhs:
-                            bad.append(
-                                {"j1": j1, "j2": j2, "p": p, "q": q, "key": key.as_json_obj()}
-                            )
+    ids = {k: a for a, k in enumerate(keys)}  # grows by the keys the images reach
+    images: list[list[tuple]] = [[] for _ in ops]
+    for _ in range(2):  # the images of the keys, then of every key they reach
+        for key in list(ids)[len(images[0]):]:
+            for img, (j, p) in zip(images, ops):
+                terms = loop_action(j, p, FockVector.unit(key)).items()
+                img.append(tuple(
+                    (ids.setdefault(k, len(ids)), c.numerator if c.denominator == 1 else c)
+                    for k, c in terms
+                ))
+
+    bad = []
+    for img1, (j1, p) in zip(images, ops):
+        for img2, (j2, q) in zip(images, ops):
+            for a, key in enumerate(keys):
+                acc: dict[int, int] = {}
+                for b, c in img2[a]:
+                    for t, x in img1[b]:
+                        acc[t] = acc.get(t, 0) + c * x
+                for b, c in img1[a]:
+                    for t, x in img2[b]:
+                        acc[t] = acc.get(t, 0) - c * x
+                lhs = {t: x for t, x in acc.items() if x}
+                rhs = {ids.get(B2Key(key.i + j1 + j2, key.nu), -1): p} if p == -q else {}
+                if lhs != rhs:
+                    bad.append({"j1": j1, "j2": j2, "p": p, "q": q, "key": key.as_json_obj()})
     res = [_result(f"loop bracket identities on degrees <= {max_n}", bad)]
 
     bad = []
@@ -326,16 +339,16 @@ def suite_phi(max_n: int = 9) -> list[CheckResult]:
     """Symmetric-function dictionary checks."""
     bad = []
     for n in range(max_n + 1):
-        for lam in enumerate_partitions(n):
+        for lam in partition_keys(n):
             if phi(hilb_L_in_p(lam)) != m_in_p(lam):
                 bad.append({"lambda": lam.as_list()})
     out = [_result(f"curve classes map to monomial functions, |lam| <= {max_n}", bad)]
 
     bad = []
     for n in range(max_n + 1):
-        for lam in enumerate_partitions(n):
-            for mu in enumerate_partitions(n):
-                want = Fraction(z_factor(lam)) if lam == mu else Fraction(0)
+        for lam in partition_keys(n):
+            for mu in partition_keys(n):
+                want = z_factor(lam) if lam == mu else 0
                 if hall_pairing(FockVector.unit(lam), FockVector.unit(mu)) != want:
                     bad.append({"lambda": lam.as_list(), "mu": mu.as_list()})
     out.append(_result(f"Hall pairing is z_lam delta, |lam| <= {max_n}", bad))
@@ -374,8 +387,8 @@ def suite_phi(max_n: int = 9) -> list[CheckResult]:
 
     bad = []
     for n in range(min(max_n, 6) + 1):
-        for lam in enumerate_partitions(n):
-            for mu in enumerate_partitions(n):
+        for lam in partition_keys(n):
+            for mu in partition_keys(n):
                 sig = star_hilb(
                     Fraction(1, hook_product(lam)) * FockVector.unit(lam),
                     Fraction(1, hook_product(mu)) * FockVector.unit(mu),
@@ -401,7 +414,7 @@ def suite_diagrams(max_n: int = 6) -> list[CheckResult]:
     bad = []
     for m in range(1, 5):
         for d in range(max_n - m + 1):
-            for lam in enumerate_partitions(d):
+            for lam in partition_keys(d):
                 v = FockVector.unit(lam)
                 if pullback_f(fixed_creation(m, v, d)) != b1_creation(m, pullback_f(v), d):
                     bad.append({"m": m, "lambda": lam.as_list()})
@@ -410,7 +423,7 @@ def suite_diagrams(max_n: int = 6) -> list[CheckResult]:
     bad = []
     for m in range(1, 5):
         for dd in range(m + 1, max_n + 2):
-            for mu in enumerate_partitions(dd):
+            for mu in partition_keys(dd):
                 v = FockVector.unit(mu)
                 lhs = pullback_g(fixed_annihilation(m, v, dd))
                 rhs = b1_annihilation(m, pullback_g(v), dd - 1)
@@ -432,7 +445,7 @@ def suite_diagrams(max_n: int = 6) -> list[CheckResult]:
     bad = []
     for m in range(1, 5):
         for dd in range(1, max_n - m + 2):
-            for mu in enumerate_partitions(dd):
+            for mu in partition_keys(dd):
                 v = FockVector.unit(mu)
                 lhs = pullback_g(fixed_creation(m, v, dd))
                 rhs = b1_creation(m, pullback_g(v), dd - 1) - Fraction(m) * (
@@ -447,8 +460,8 @@ def suite_diagrams(max_n: int = 6) -> list[CheckResult]:
     for n in range(limit + 1):
         # f starts from n points, g from n + 1 points
         for name, pull, size in (("f", pullback_f, n), ("g", pullback_g, n + 1)):
-            for lam in enumerate_partitions(size):
-                for mu in enumerate_partitions(size):
+            for lam in partition_keys(size):
+                for mu in partition_keys(size):
                     x, y = FockVector.unit(lam), FockVector.unit(mu)
                     if pull(star_hilb(x, y, size)) != star_b1(pull(x), pull(y), n):
                         bad.append({"map": name, "lambda": lam.as_list(), "mu": mu.as_list()})
@@ -458,8 +471,8 @@ def suite_diagrams(max_n: int = 6) -> list[CheckResult]:
     for n in range(max_n + 1):
         # g scales the pairing by the number n + 1 of points it starts from
         for name, pull, size, scale in (("f", pullback_f, n, 1), ("g", pullback_g, n + 1, n + 1)):
-            for lam in enumerate_partitions(size):
-                for mu in enumerate_partitions(size):
+            for lam in partition_keys(size):
+                for mu in partition_keys(size):
                     x, y = FockVector.unit(lam), FockVector.unit(mu)
                     if pair_b1(pull(x), pull(y)) != scale * pair_hilb_fixed(x, y):
                         bad.append({"map": name, "lambda": lam.as_list(), "mu": mu.as_list()})
@@ -485,13 +498,13 @@ def suite_ordinary(max_n: int = 4) -> list[CheckResult]:
     bad = []
     for n in range(max_n + 1):
         basis = [OrdinaryClass(n, FockVector.unit(k)) for k in operator_keys(n)]
-        for a in basis:
-            for b in basis:
-                ab = ordinary_cup(a, b)
-                if ab != ordinary_cup(b, a):
+        cup = [[ordinary_cup(a, b) for b in basis] for a in basis]
+        for x, a in enumerate(basis):
+            for y in range(len(basis)):
+                if cup[x][y] != cup[y][x]:
                     bad.append({"n": n, "law": "commutativity"})
-                for c in basis:
-                    if ordinary_cup(ab, c) != ordinary_cup(a, ordinary_cup(b, c)):
+                for z, c in enumerate(basis):
+                    if ordinary_cup(cup[x][y], c) != ordinary_cup(a, cup[y][z]):
                         bad.append({"n": n, "law": "associativity"})
     out.append(
         _result(f"commutative and associative on basis triples, n <= {max_n}", bad)

@@ -5,21 +5,24 @@ import subprocess
 import sys
 from pathlib import Path
 
-from nestfock import basis_change, incidence, partitions, ring
+from nestfock import basis_change, incidence, partitions, ring, symfunc
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def clear_memos():
-    """Empty every lru_cache of the matrix, product, incidence and partition modules.
+    """Empty every lru_cache of the matrix, product, symmetric-function, incidence
+    and partition modules.
 
-    A test that monkeypatches a matrix function calls this before and
+    That includes memoized methods such as ``Partition.conjugate``.  A
+    test that monkeypatches a matrix function calls this before and
     after, so no matrix built from the patched function outlives the test.
     """
-    for module in (basis_change, ring, incidence, partitions):
+    for module in (basis_change, ring, symfunc, incidence, partitions):
         for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+            for memo in (obj, *vars(obj).values()) if isinstance(obj, type) else (obj,):
+                if hasattr(memo, "cache_clear"):
+                    memo.cache_clear()
 
 
 def child_env(env_extra=None):

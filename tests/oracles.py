@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from nestfock.fock import FockVector
-from nestfock.partitions import Partition
+from nestfock.partitions import Cell, Corner, Partition
 
 
 def p_in_m_expanded(nu: Partition) -> FockVector:
@@ -30,3 +30,23 @@ def p_in_m_expanded(nu: Partition) -> FockVector:
         if expv == shape + (0,) * (n - len(shape)):
             out.append((Partition(shape), Fraction(c)))
     return FockVector(out)
+
+
+def addable_corners(lam: Partition) -> list[Corner]:
+    """Addable corners of lam, top-right to bottom-left, read off the diagram.
+
+    A cell (r, c) is addable when it lies just right of row r (or
+    starts a new row) and the row above is longer; the gaps p and q are
+    the distances to the neighbouring corners.
+    """
+    parts = list(lam.parts) + [0]
+    cells = [Cell(r, parts[r]) for r in range(len(parts)) if r == 0 or parts[r - 1] > parts[r]]
+    return [
+        Corner(
+            j,
+            cell,
+            cells[j + 1].row - cell.row if j + 1 < len(cells) else None,
+            cells[j - 1].col - cell.col if j else None,
+        )
+        for j, cell in enumerate(cells)
+    ]

@@ -660,6 +660,15 @@ class TestCache:
         with pytest.raises(expected.type):
             TransitionMatrix.from_json_doc(doc)
 
+    @pytest.mark.parametrize("entry", ["1/0", "abc", None, [1]])
+    def test_checksum_valid_bad_entry_in_cache_dir_raises_cache_error(self, tmp_path, entry):
+        doc = b2_in_b1(2).to_json_doc()
+        doc["rows"][1][0] = entry
+        doc["checksum"] = _checksum({k: v for k, v in doc.items() if k != "checksum"})
+        (tmp_path / "b2--b1--2.json").write_text(json.dumps(doc))
+        with pytest.raises(CacheError, match="malformed"):
+            cache_load("b2", "b1", 2, tmp_path)
+
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "b2--b1--1.json"
         path.write_text("not json {")

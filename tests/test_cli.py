@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
-from conftest import run_cli
+from conftest import child_env, run_cli
+from nestfock.basis_change import _checksum
 
 
 class TestTransition:
@@ -122,6 +125,18 @@ class TestDeterminismAndCache:
         assert res.returncode == 1 and res.stdout == ""
         assert res.stderr.startswith("error:") and "is not the" in res.stderr
 
+    def test_division_by_zero_in_cache_document_is_loud(self, tmp_path):
+        args = ("transition", "--from", "b2", "--to", "b1", "--degree", "2")
+        run_cli(*args, cwd=tmp_path)
+        cache_file = tmp_path / ".nestfock-cache" / "b2--b1--2.json"
+        doc = json.loads(cache_file.read_text())
+        doc["rows"][1][0] = "1/0"
+        doc["checksum"] = _checksum({k: v for k, v in doc.items() if k != "checksum"})
+        cache_file.write_text(json.dumps(doc))
+        res = run_cli(*args, cwd=tmp_path)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("error:") and "malformed" in res.stderr
+
     def test_stale_version_recomputed(self, tmp_path):
         args = ("transition", "--from", "b2", "--to", "b1", "--degree", "1")
         fresh = run_cli(*args, cwd=tmp_path)
@@ -201,3 +216,19 @@ class TestVerify:
     def test_unknown_suite_rejected(self, tmp_path):
         res = run_cli("verify", "--suite", "nonsense", cwd=tmp_path)
         assert res.returncode == 2
+
+    def test_import_loads_neither_openssl_nor_csv(self, tmp_path):
+        # only cache documents need hashlib and only csv output needs csv
+        probe = (
+            "import sys, nestfock.cli\n"
+            "print(sorted({'hashlib', '_hashlib', 'csv'} & set(sys.modules)))"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=child_env(),
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"

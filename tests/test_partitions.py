@@ -18,6 +18,7 @@ from nestfock.partitions import (
     step_length,
     z_factor,
 )
+from oracles import addable_corners
 
 P = Partition
 
@@ -222,6 +223,13 @@ class TestCanonicalGenerators:
                     else:
                         assert mu.multiplicity(c.cell.col + 1) == lam.multiplicity(c.cell.col + 1) + 1
                 assert len(grown) == len(corners)
+
+    def test_memoized_corners_are_a_tuple_equal_to_the_diagram_oracle(self):
+        for n in range(9):
+            for lam in enumerate_partitions(n):
+                corners = canonical_generators(lam)
+                assert type(corners) is tuple
+                assert list(corners) == addable_corners(lam)
 
     def test_add_corner_rejects_non_corner(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""The benchmark's tracer wraps package functions by name; they must exist."""
+"""Test tooling: the names the benchmark's tracer wraps, and the memo reset of the tests."""
 
 import importlib
 import importlib.util
@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import child_env, run_cli
+from conftest import child_env, clear_memos, run_cli
+from nestfock.verify import run_suite
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -71,3 +72,18 @@ def test_traced_cli_call_matches_plain_call(tmp_path):
         assert traced.returncode == plain.returncode == 0, traced.stderr
         assert traced.stdout == plain.stdout
         assert trace.exists()
+
+
+def test_clear_memos_empties_every_memo_of_the_package():
+    assert all(r.ok for r in run_suite("all", 2))  # fills the memos
+    memos = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nestfock."):
+            for obj in vars(module).values():
+                for memo in (obj, *vars(obj).values()) if isinstance(obj, type) else (obj,):
+                    if hasattr(memo, "cache_info") and memo not in memos:
+                        memos.append(memo)
+    names = {m.__qualname__ for m in memos}
+    assert {"Partition.conjugate", "canonical_generators", "_pullback_image"} <= names
+    clear_memos()
+    assert [m.__qualname__ for m in memos if m.cache_info().currsize] == []

@@ -2,9 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import clear_memos
-from nestfock import basis_change, verify
+from nestfock import basis_change, fock, ring, verify
 from nestfock.basis_change import (
     TransitionMatrix,
     _gram,
@@ -17,9 +19,10 @@ from nestfock.basis_change import (
     hilb_L_in_fixed,
     pair_keys,
 )
-from nestfock.fock import FockVector
+from nestfock.fock import B2Key, FockVector, loop_action
 from nestfock.incidence import h_pair
 from nestfock.partitions import Partition, z_factor
+from nestfock.ring import pullback_f, pullback_g
 
 
 def perturbed(n, a, t, delta):
@@ -273,3 +276,64 @@ class TestSuitePhi:
         (res,) = [r for r in verify.suite_phi(3) if r.name.startswith(name)]
         assert not res.ok
         assert {"lambda": [2, 1], "mu": [3], "check": "monomial"} in json.loads(res.detail)
+
+
+PARTITIONS = st.lists(st.integers(1, 3), max_size=4).map(Partition)
+COEFFS = st.fractions(-3, 3, max_denominator=4)
+
+
+def by_units(op, v):
+    """op applied to each key of v on its own, scaled and summed."""
+    out = FockVector()
+    for k, c in v.items():
+        out = out + c * op(FockVector.unit(k))
+    return out
+
+
+class TestImagesComposeByLinearity:
+    """suite_loop and the pullbacks build the image of each key once and
+    map a vector term by term; these tests pin the linearity that relies on,
+    and check that a wrong per-key image still fails its check."""
+
+    @given(
+        terms=st.dictionaries(st.builds(B2Key, st.integers(0, 3), PARTITIONS), COEFFS, max_size=5),
+        j=st.integers(0, 2),
+        p=st.integers(-3, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_loop_action_is_the_sum_of_unit_images(self, terms, j, p):
+        v = FockVector(terms)
+        assert loop_action(j, p, v) == by_units(lambda u: loop_action(j, p, u), v)
+
+    @given(terms=st.dictionaries(PARTITIONS, COEFFS, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_pullbacks_are_the_sums_of_unit_images(self, terms):
+        v = FockVector(terms)
+        assert pullback_f(v) == by_units(pullback_f, v)
+        nonempty = FockVector({lam: c for lam, c in terms.items() if lam.size})
+        assert pullback_g(nonempty) == by_units(pullback_g, nonempty)
+
+    def test_doubled_annihilation_image_fails_the_loop_bracket(self, monkeypatch):
+        doubled = B2Key(0, Partition([2, 1]))
+        annihilation = fock.annihilation
+
+        def wrong(n, v):
+            return annihilation(n, v) + annihilation(n, FockVector({doubled: v[doubled]}))
+
+        assert all(r.ok for r in verify.suite_loop(3))
+        monkeypatch.setattr(fock, "annihilation", wrong)
+        bracket, index_zero = verify.suite_loop(3)
+        assert not bracket.ok and index_zero.ok
+
+    def test_bumped_h_pair_fails_the_bilinear_transport(self, monkeypatch):
+        bumped = pair_keys(2)[1]
+        name = "bilinear form transport laws, n <= 3"
+        assert {r.name: r.ok for r in verify.suite_diagrams(3)}[name]
+        clear_memos()  # else the pullbacks keep the weights built from the true h_pair
+        monkeypatch.setattr(ring, "h_pair", lambda p: h_pair(p) + (p == bumped))
+        try:
+            results = {r.name: r for r in verify.suite_diagrams(3)}
+        finally:
+            clear_memos()
+        assert not results[name].ok
+        assert "f" in {f["map"] for f in json.loads(results[name].detail)}
