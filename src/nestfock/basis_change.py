@@ -152,7 +152,9 @@ class TransitionMatrix:
     p = sum_q rows[p][q] * q.  The entries are Fractions, stored as given.
     """
 
-    __slots__ = ("source", "target", "degree", "row_keys", "col_keys", "rows", "_index", "_ints")
+    __slots__ = (
+        "source", "target", "degree", "row_keys", "col_keys", "rows", "_index", "_ints", "_text",
+    )
 
     def __init__(self, source, target, degree, row_keys, col_keys, rows) -> None:
         self.source = source
@@ -167,6 +169,7 @@ class TransitionMatrix:
             raise ValueError("matrix shape does not match key lists")
         self._index = {k: i for i, k in enumerate(self.row_keys)}
         self._ints = {}  # row key -> (nonzero (column, numerator) pairs, denominator)
+        self._text = None
 
     def expand(self, key) -> FockVector:
         return FockVector(zip(self.col_keys, self.rows[self._index[key]]))
@@ -216,6 +219,12 @@ class TransitionMatrix:
         doc = self.payload()
         doc["checksum"] = _checksum(doc)
         return doc
+
+    def json_text(self) -> str:
+        """The document as the cache stores and the CLI prints it; rendered once."""
+        if self._text is None:
+            self._text = json.dumps(self.to_json_doc(), indent=2) + "\n"
+        return self._text
 
     @classmethod
     def from_json_doc(cls, doc: dict) -> "TransitionMatrix":
@@ -741,7 +750,7 @@ def cache_store(matrix: TransitionMatrix, cache_dir) -> Path:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            fh.write(json.dumps(matrix.to_json_doc(), indent=2) + "\n")
+            fh.write(matrix.json_text())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -33,9 +33,8 @@ from .basis_change import (
     pair_keys,
     transition_matrix,
 )
-from .fock import FockVector
 from .incidence import betti_series
-from .ring import OrdinaryClass, ordinary_cup, star_b1, star_tilde
+from .ring import product_table
 from .verify import SUITES, run_suite
 
 DEFAULT_CACHE_DIR = ".nestfock-cache"
@@ -99,7 +98,8 @@ def _check_range(parser, label: str, value: int, max_degree: int) -> None:
 
 
 def _emit_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    """Write doc as indent-2 JSON; a callable doc renders its own text here."""
+    sys.stdout.write(doc() if callable(doc) else json.dumps(doc, indent=2) + "\n")
 
 
 def _emit_csv(rows: list[list[str]]) -> None:
@@ -123,7 +123,7 @@ def cmd_transition(args: argparse.Namespace, parser) -> int:
         matrix = transition_matrix(args.source, args.target, n)
         cache_store(matrix, args.cache_dir)
     if args.format == "json":
-        _emit_json(matrix.to_json_doc())
+        _emit_json(matrix.json_text)
     else:
         header = ["key"] + [_key_str(matrix.target, k) for k in matrix.col_keys]
         rows = [header]
@@ -133,38 +133,13 @@ def cmd_transition(args: argparse.Namespace, parser) -> int:
     return 0
 
 
-def _product_table(basis: str, n: int, left=None, right=None):
-    """Structure-constant triples of one product, in canonical key order."""
-    if basis == "b1":
-        keys = list(pair_keys(n))
-        mult = lambda x, y: star_b1(FockVector.unit(x), FockVector.unit(y), n)
-    elif basis == "b2":
-        keys = list(operator_keys(n))
-        mult = lambda x, y: star_tilde(FockVector.unit(x), FockVector.unit(y))
-    else:
-        keys = list(operator_keys(n))
-        mult = lambda x, y: ordinary_cup(
-            OrdinaryClass(n, FockVector.unit(x)), OrdinaryClass(n, FockVector.unit(y))
-        ).vec
-    tag = "b1" if basis == "b1" else "b2"
-    lefts = [left] if left is not None else keys
-    rights = [right] if right is not None else keys
-    triples = []
-    for a in lefts:
-        for b in rights:
-            prod = mult(a, b)
-            for c in keys:
-                coeff = prod[c]
-                if coeff:
-                    triples.append(
-                        {
-                            "a": key_to_obj(tag, a),
-                            "b": key_to_obj(tag, b),
-                            "c": key_to_obj(tag, c),
-                            "coeff": str(coeff),
-                        }
-                    )
-    return triples
+def _product_json(n: int, basis: str, objs: list, triples: list) -> str:
+    """json.dumps of the product document with indent 2, each key object rendered once."""
+    doc = json.dumps({"degree": n, "basis": basis, "triples": [None] if triples else []}, indent=2)
+    keys = [json.dumps(o, indent=2).replace("\n", "\n      ") for o in objs]
+    row = '    {\n      "a": %s,\n      "b": %s,\n      "c": %s,\n      "coeff": "%s"\n    }'
+    body = ",\n".join([row % (keys[a], keys[b], keys[c], x) for a, b, c, x in triples])
+    return doc.replace("    null", body, 1) + "\n"
 
 
 def cmd_product(args: argparse.Namespace, parser) -> int:
@@ -183,20 +158,17 @@ def cmd_product(args: argparse.Namespace, parser) -> int:
     for key, label in ((left, "a"), (right, "b")):
         if key is not None and key not in keys:
             parser.error(f"--{label} is not a degree-{n} {args.basis} key")
-    triples = _product_table(args.basis, n, left, right)
+    every = range(len(keys))
+    lefts = every if left is None else [keys.index(left)]
+    rights = every if right is None else [keys.index(right)]
+    triples = list(product_table(args.basis, n, lefts, rights))
     if args.format == "json":
-        _emit_json({"degree": n, "basis": args.basis, "triples": triples})
+        objs = [key_to_obj(tag, k) for k in keys]
+        _emit_json(lambda: _product_json(n, args.basis, objs, triples))
     else:
+        strs = [_key_str(tag, k) for k in keys]
         rows = [["a", "b", "c", "coeff"]]
-        for t in triples:
-            rows.append(
-                [
-                    json.dumps(t["a"], separators=(",", ":")),
-                    json.dumps(t["b"], separators=(",", ":")),
-                    json.dumps(t["c"], separators=(",", ":")),
-                    t["coeff"],
-                ]
-            )
+        rows += [[strs[a], strs[b], strs[c], x] for a, b, c, x in triples]
         _emit_csv(rows)
     return 0
 

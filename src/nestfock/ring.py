@@ -16,6 +16,9 @@ fixed-point coordinates through the sparse rows of B, multiplies them
 pointwise with h(t)^2 and contracts with the rows of B again.  B is
 scaled by the common denominator D of its entries, so the contraction
 runs in integers and each structure constant is one Fraction at the end.
+The sum S(a, b, c) = sum_t N_at N_bt N_ct h(t)^2 with N = D B is
+symmetric in a, b and c, so ``product_table`` computes it once per
+sorted key triple and reads the other five orders from its memo.
 
 An ordinary cohomology class of the degree-n incidence Hilbert scheme
 is represented by an operator-basis vector of degree n; the key
@@ -25,15 +28,19 @@ followed by the selection of the keys with length(rho) equal to
 length(nu1) + length(nu2) - n, scaled by (-1)^(n+1); general classes
 are handled by bilinearity.  The rule is forced by the normalization
 of the forgetful map, which kills every positive power of the
-equivariant parameter.
+equivariant parameter.  An ordinary table therefore only needs the
+triples with length(c) = length(a) + length(b) - n; a pair whose
+target length is negative gives nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from operator import mul
 
-from .basis_change import _integer_rows, b2_in_b1, operator_keys
+from .basis_change import _integer_rows, b2_in_b1, operator_keys, pair_keys
 from .fock import B2Key, FockVector, b2_degree, vector_degree
 from .incidence import IncidencePair, derive_lambda, h_pair
 from .partitions import Partition, add_corner, canonical_generators, hook_product, z_factor
@@ -67,9 +74,10 @@ def _contraction_data(n: int):
     """Degree-n data of the operator-basis product contraction.
 
     B = b2_in_b1(n) is stored as N / D with N integral: the operator
-    keys and their index, the nonzero entries (t, N_at) of each row,
-    h(t)^2 per fixed point t, the sign (-1)^(n+1) and the denominators
-    z(c) D^3 per operator key c.  The contraction then runs in integers.
+    keys and their index, the dense rows N_a, the nonzero entries
+    (t, N_at) of each row, h(t)^2 per fixed point t, the sign (-1)^(n+1)
+    and the denominators z(c) D^3 per operator key c.  The contraction
+    then runs in integers.
     """
     b = b2_in_b1(n)
     nums, den = _integer_rows(b.rows)
@@ -77,7 +85,7 @@ def _contraction_data(n: int):
     rows = tuple(tuple((t, x) for t, x in enumerate(row) if x) for row in nums)
     h2 = tuple(h_pair(p) ** 2 for p in b.col_keys)
     denoms = tuple(z_factor(k.nu) * den**3 for k in b.row_keys)
-    return b.row_keys, index, rows, h2, (-1) ** (n + 1), denoms
+    return b.row_keys, index, nums, rows, h2, (-1) ** (n + 1), denoms
 
 
 def _fixed_coords(v: FockVector, index, rows) -> tuple[dict, int]:
@@ -101,7 +109,7 @@ def star_tilde(v: FockVector, w: FockVector) -> FockVector:
     n = vector_degree(v, b2_degree)
     if vector_degree(w, b2_degree) != n:
         raise ValueError("operands live in different graded pieces")
-    keys, index, rows, h2, sign, denoms = _contraction_data(n)
+    keys, index, _, rows, h2, sign, denoms = _contraction_data(n)
     x, dx = _fixed_coords(v, index, rows)
     y, dy = _fixed_coords(w, index, rows)
     prod = {t: xt * y[t] * h2[t] for t, xt in x.items() if t in y}
@@ -112,6 +120,47 @@ def star_tilde(v: FockVector, w: FockVector) -> FockVector:
         if acc:
             out.append((keys[c], Fraction(acc, denoms[c] * scale)))
     return FockVector(out)
+
+
+def product_table(basis: str, n: int, lefts, rights):
+    """Yield the nonzero structure constants (a, b, c, coeff) of one product.
+
+    a, b and c index the degree-n keys: pair_keys(n) for "b1",
+    operator_keys(n) for "b2" (star_tilde) and "ordinary" (ordinary_cup).
+    a runs over lefts, b over rights, c over the keys in order, and coeff
+    is the exact constant as a canonical fraction string.  The b1 table
+    is its diagonal.  The others read S(a, b, c) from a memo keyed by the
+    sorted triple; a missing entry is contracted from the pointwise
+    product of rows a and b, so only the triples the table needs are
+    computed, and each one once.
+    """
+    if basis == "b1":
+        sign, keys = (-1) ** (n + 1), pair_keys(n)
+        yield from ((a, a, a, str(sign * h_pair(keys[a]))) for a in lefts if a in rights)
+        return
+    keys, _, nums, _, h2, sign, denoms = _contraction_data(n)
+    targets = lambda a, b: range(len(keys))
+    if basis == "ordinary":
+        sign, by_length = 1, {}  # the cup product rescales by (-1)^(n+1) again
+        for c, k in enumerate(keys):
+            by_length.setdefault(k.nu.length, []).append(c)
+        targets = lambda a, b: by_length.get(keys[a].nu.length + keys[b].nu.length - n, ())
+    memo: dict = {}
+    for a in lefts:
+        for b in rights:
+            lo, hi = sorted((a, b))
+            ab = None
+            for c in targets(a, b):
+                t = (lo, hi, c) if c >= hi else (lo, c, hi) if c >= lo else (c, lo, hi)
+                s = memo.get(t)
+                if s is None:
+                    if ab is None:
+                        ab = list(map(mul, map(mul, nums[a], nums[b]), h2))
+                    s = memo[t] = sum(map(mul, ab, nums[c]))
+                if s:
+                    g = gcd(s, denoms[c])
+                    p, q = sign * s // g, denoms[c] // g
+                    yield a, b, c, str(p) if q == 1 else f"{p}/{q}"
 
 
 def star_hilb(v: FockVector, w: FockVector, n: int) -> FockVector:

@@ -11,18 +11,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def clear_memos():
-    """Empty every lru_cache of the matrix, product, symmetric-function, incidence
+    """Empty every memo of the matrix, product, symmetric-function, incidence
     and partition modules.
 
-    That includes memoized methods such as ``Partition.conjugate``.  A
-    test that monkeypatches a matrix function calls this before and
-    after, so no matrix built from the patched function outlives the test.
+    That includes memoized methods such as ``Partition.conjugate`` and the
+    plain-dict memos of ``basis_change``.  A test that monkeypatches a
+    matrix function calls this before and after, so no matrix built from
+    the patched function outlives the test.
     """
     for module in (basis_change, ring, symfunc, incidence, partitions):
         for obj in vars(module).values():
             for memo in (obj, *vars(obj).values()) if isinstance(obj, type) else (obj,):
                 if hasattr(memo, "cache_clear"):
                     memo.cache_clear()
+    basis_change._HILB_L.clear()
+    basis_change._B3_IN_B2.clear()
 
 
 def child_env(env_extra=None):

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from conftest import child_env, run_cli
+from nestfock import cli
 from nestfock.basis_change import _checksum
 
 
@@ -137,6 +141,12 @@ class TestDeterminismAndCache:
         assert res.returncode == 1 and res.stdout == ""
         assert res.stderr.startswith("error:") and "malformed" in res.stderr
 
+    def test_cold_json_output_is_the_cache_document(self, tmp_path):
+        res = run_cli("transition", "--from", "b3", "--to", "b1", "--degree", "3", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        cache_file = tmp_path / ".nestfock-cache" / "b3--b1--3.json"
+        assert res.stdout.encode() == cache_file.read_bytes()
+
     def test_stale_version_recomputed(self, tmp_path):
         args = ("transition", "--from", "b2", "--to", "b1", "--degree", "1")
         fresh = run_cli(*args, cwd=tmp_path)
@@ -184,12 +194,88 @@ class TestProduct:
         assert triples[(j(top), j(unit), j(top))] == "1"
         assert (j(top), j(top), j(top)) not in triples
 
+    @pytest.mark.parametrize(
+        "select",
+        [
+            ("b1",),
+            ("b1", "--a", '{"lambda": [2], "mu": [3]}'),
+            ("b1", "--a", '{"lambda": [2], "mu": [3]}', "--b", '{"lambda": [1, 1], "mu": [2, 1]}'),
+            ("b2",),
+            ("b2", "--a", '{"i": 0, "nu": [1, 1]}'),
+            ("ordinary",),
+            ("ordinary", "--b", '{"i": 2, "nu": []}'),
+        ],
+    )
+    def test_json_table_is_the_indent_two_dump(self, tmp_path, select):
+        # the document is filled into a template (the b1 pair of distinct keys
+        # gives an empty table); its bytes must be json.dumps(doc, indent=2)
+        args = ["product", "-n", "2", "--cache-dir", str(tmp_path), "--basis", *select]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(args) == 0
+        out = buf.getvalue()
+        assert json.loads(out)["triples"] or select[-1].startswith('{"lambda": [1, 1]')
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_bad_key_is_usage_error(self, tmp_path):
         res = run_cli(
             "product", "--basis", "b2", "--degree", "1", "--a", '{"i": 5, "nu": []}',
             cwd=tmp_path,
         )
         assert res.returncode == 2
+
+
+class TestExitPath:
+    """``python -m nestfock`` flushes and ends the process without interpreter teardown."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_large_table_arrives_complete_through_a_pipe(self, tmp_path, fmt):
+        args = ["product", "--basis", "b2", "-n", "5", "--format", fmt, "--cache-dir", str(tmp_path)]
+        res = subprocess.run(
+            [sys.executable, "-m", "nestfock", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=tmp_path,
+            env=child_env(),
+        )
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(args) == 0
+        assert res.returncode == 0 and res.stderr == b""
+        assert res.stdout == buf.getvalue().encode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_final_flush_is_reported_as_before(self, tmp_path):
+        # buffered output that cannot be written: the interpreter's own exit
+        # reports it and ends with status 120
+        env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            res = subprocess.run(
+                [sys.executable, "-m", "nestfock", "pairs", "-n", "1"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                cwd=tmp_path,
+                env=env,
+            )
+        assert res.returncode == 120 and "No space left on device" in res.stderr
+
+    def test_damaged_cache_document_exits_one(self, tmp_path):
+        (tmp_path / "cache").mkdir()
+        (tmp_path / "cache" / "b2--b1--2.json").write_text("{not json")
+        res = run_cli("transition", "--from", "b2", "--to", "b1", "-n", "2", "--cache-dir", "cache", cwd=tmp_path)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("error:")
+
+    def test_usage_error_exits_two(self, tmp_path):
+        res = run_cli("product", "--basis", "b5", "-n", "2", cwd=tmp_path)
+        assert res.returncode == 2 and res.stdout == ""
+        assert "invalid choice" in res.stderr
+
+    def test_passing_verify_exits_zero(self, tmp_path):
+        res = run_cli("verify", "--suite", "ordinary", "--max-n", "2", cwd=tmp_path)
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout.endswith(" checks passed\n") and "FAIL" not in res.stdout
 
 
 class TestBettiAndPairs:

@@ -4,21 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nestfock import ring
 from nestfock.basis_change import (
     b1_creation,
     b1_in_b2,
     b2_in_b1,
     fixed_creation,
     operator_keys,
+    pair_keys,
 )
 from nestfock.fock import B2Key, FockVector, pair_b1, pair_b2, pair_hilb_fixed
 from nestfock.incidence import IncidencePair
 from nestfock.partitions import Partition, enumerate_partitions, hook_product
+from oracles import product_table_by_pairs
 from nestfock.ring import (
     OrdinaryClass,
     ordinary_cup,
     ordinary_unit,
     ordinary_unit_scale,
+    product_table,
     pullback_f,
     pullback_g,
     star_b1,
@@ -112,6 +116,52 @@ class TestStarTildeContraction:
                 assert table[i, j] == table[j, i]
                 for k, c in enumerate(basis):
                     assert pair_b2(table[i, j], c) == pair_b2(a, table[j, k])
+
+
+def table_keys(basis, n):
+    return pair_keys(n) if basis == "b1" else operator_keys(n)
+
+
+class TestProductTable:
+    """product_table against one full product per ordered pair (tests/oracles.py)."""
+
+    @pytest.mark.parametrize(
+        "basis, n", [("b2", n) for n in range(7)] + [(b, n) for b in ("b1", "ordinary") for n in range(8)]
+    )
+    def test_full_table_matches_oracle(self, basis, n):
+        every = range(len(table_keys(basis, n)))
+        table = list(product_table(basis, n, every, every))
+        assert table == product_table_by_pairs(basis, n, every, every)
+
+    @pytest.mark.parametrize("basis", ["b1", "b2", "ordinary"])
+    @pytest.mark.parametrize("n", range(5))
+    def test_selections_match_oracle(self, basis, n):
+        every = range(len(table_keys(basis, n)))
+        selections = [(every, [j]) for j in every] + [([i], every) for i in every]
+        selections += [([i], [j]) for i in every for j in every]
+        for lefts, rights in selections:
+            table = list(product_table(basis, n, lefts, rights))
+            assert table == product_table_by_pairs(basis, n, lefts, rights)
+
+    @pytest.mark.parametrize("basis", ["b2", "ordinary"])
+    @pytest.mark.parametrize("n", range(6))
+    def test_each_needed_sorted_triple_is_contracted_once(self, basis, n, monkeypatch):
+        # every contraction is one call of sum in ring; the table must make one
+        # per sorted triple it needs, whatever order it meets the triple in
+        calls = []
+        monkeypatch.setattr(ring, "sum", lambda xs: calls.append(1) or sum(xs), raising=False)
+        keys = operator_keys(n)
+        every = range(len(keys))
+        list(product_table(basis, n, every, every))
+        length = lambda a: keys[a].nu.length
+        needed = {
+            tuple(sorted((a, b, c)))
+            for a in every
+            for b in every
+            for c in every
+            if basis == "b2" or length(c) == length(a) + length(b) - n
+        }
+        assert len(calls) == len(needed)
 
 
 class TestOrdinaryClass:
