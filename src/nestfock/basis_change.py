@@ -33,7 +33,11 @@ degree as a matrix).
 
 Degree-level matrices can be persisted as JSON documents with a
 checksum; a version mismatch is a cache miss, a corrupted file is an
-explicit error.
+explicit error.  The checksum is SHA-256 from the interpreter's own
+module, so no document loads OpenSSL.  A document is rendered once per
+matrix, with its entry rows joined into the indent-2 layout directly;
+a loaded document in canonical form keeps its entry strings and its
+validated checksum for that rendering.
 """
 
 from __future__ import annotations
@@ -153,7 +157,8 @@ class TransitionMatrix:
     """
 
     __slots__ = (
-        "source", "target", "degree", "row_keys", "col_keys", "rows", "_index", "_ints", "_text",
+        "source", "target", "degree", "row_keys", "col_keys", "rows",
+        "_index", "_ints", "_strs", "_sum", "_text",
     )
 
     def __init__(self, source, target, degree, row_keys, col_keys, rows) -> None:
@@ -169,6 +174,8 @@ class TransitionMatrix:
             raise ValueError("matrix shape does not match key lists")
         self._index = {k: i for i, k in enumerate(self.row_keys)}
         self._ints = {}  # row key -> (nonzero (column, numerator) pairs, denominator)
+        self._strs = None  # rows as canonical fraction strings
+        self._sum = None  # checksum of payload()
         self._text = None
 
     def expand(self, key) -> FockVector:
@@ -202,7 +209,13 @@ class TransitionMatrix:
             and self.rows == other.rows
         )
 
-    def payload(self) -> dict:
+    def entry_strings(self) -> tuple[tuple[str, ...], ...]:
+        """The rows as canonical fraction strings; made once, or kept from a loaded document."""
+        if self._strs is None:
+            self._strs = tuple(tuple([str(x) for x in row]) for row in self.rows)
+        return self._strs
+
+    def _head(self) -> dict:
         return {
             "version": LIBRARY_VERSION,
             "source": self.source,
@@ -212,42 +225,112 @@ class TransitionMatrix:
                 "rows": [key_to_obj(self.source, k) for k in self.row_keys],
                 "cols": [key_to_obj(self.target, k) for k in self.col_keys],
             },
-            "rows": [[str(x) for x in row] for row in self.rows],
         }
+
+    def payload(self) -> dict:
+        doc = self._head()
+        doc["rows"] = [list(row) for row in self.entry_strings()]
+        return doc
 
     def to_json_doc(self) -> dict:
         doc = self.payload()
-        doc["checksum"] = _checksum(doc)
+        if self._sum is None:
+            self._sum = _checksum(doc)
+        doc["checksum"] = self._sum
         return doc
 
     def json_text(self) -> str:
-        """The document as the cache stores and the CLI prints it; rendered once."""
+        """The document as the cache stores and the CLI prints it; rendered once.
+
+        The bytes are json.dumps(self.to_json_doc(), indent=2) plus a
+        newline.  Only the head goes through the encoder; the entry rows
+        are canonical fraction strings (digits, "-" and "/", nothing to
+        escape) joined into the indent-2 layout directly.
+        """
         if self._text is None:
-            self._text = json.dumps(self.to_json_doc(), indent=2) + "\n"
+            doc = self.to_json_doc()
+            doc["rows"] = [None] if self.rows else []
+            head, _, tail = json.dumps(doc, indent=2).rpartition("    null")
+            body = ",\n".join(
+                ['    [\n      "' + '",\n      "'.join(row) + '"\n    ]' if row else "    []"
+                 for row in self.entry_strings()]
+            )
+            self._text = head + body + tail + "\n"
         return self._text
 
     @classmethod
     def from_json_doc(cls, doc: dict) -> "TransitionMatrix":
+        """The matrix of a document whose checksum holds; raises CacheError if it does not.
+
+        A document in canonical form (canonical entry strings, nothing
+        beyond the payload's fields) keeps its strings and checksum for
+        re-rendering; any other valid document re-renders canonically.
+        """
         payload = {k: v for k, v in doc.items() if k != "checksum"}
         if doc.get("checksum") != _checksum(payload):
             raise CacheError("checksum mismatch")
-        parsed = {"0": _ZERO}  # each distinct entry goes through Fraction once
-        return cls(
+        rows = doc["rows"]
+        parsed, canonical = _parse_entries(rows)
+        matrix = cls(
             doc["source"],
             doc["target"],
             doc["n"],
             [key_from_obj(doc["source"], o) for o in doc["key_order"]["rows"]],
             [key_from_obj(doc["target"], o) for o in doc["key_order"]["cols"]],
-            [[parsed[x] if x in parsed else parsed.setdefault(x, Fraction(x)) for x in row]
-             for row in doc["rows"]],
+            [[parsed[x] for x in row] for row in rows],
         )
+        if canonical:
+            matrix._strs = tuple(map(tuple, rows))
+            del payload["rows"]
+            if (
+                type(rows) is list
+                and all(type(row) is list for row in rows)
+                and _canonical_json(payload) == _canonical_json(matrix._head())
+            ):  # the document is its own canonical rendering
+                matrix._sum = doc["checksum"]
+        return matrix
+
+
+def _parse_entries(rows) -> tuple[dict, bool]:
+    """Each distinct entry of the rows -> its Fraction, and whether all are canonical strings.
+
+    A canonical string (the str of its Fraction) is read through int();
+    any other entry goes to Fraction itself, which raises for a bad one.
+    """
+    parsed = {"0": _ZERO}
+    canonical = True
+    for x in set().union(*rows) - {"0"}:
+        try:
+            num, slash, den = x.partition("/")
+            f = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            if str(f) == x:
+                parsed[x] = f
+                continue
+        except (AttributeError, ValueError, ZeroDivisionError):
+            pass
+        parsed[x] = Fraction(x)
+        canonical = False
+    return parsed, canonical
+
+
+def _canonical_json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _checksum(payload: dict) -> str:
-    import hashlib  # here, not at the top: only cache documents need OpenSSL
+    """SHA-256 of the payload's sorted compact JSON, in hex.
 
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    The interpreter's own SHA-256 module does the hashing: hashlib would
+    load OpenSSL for it, which costs more than hashing a document.
+    """
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python 3.12 and later
+        except ImportError:
+            from hashlib import sha256
+    return sha256(_canonical_json(payload).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Brute-force oracles that the fast routes of the package are tested against."""
 
+import json
 from fractions import Fraction
 
 from nestfock.basis_change import operator_keys, pair_keys
@@ -77,3 +78,13 @@ def product_table_by_pairs(basis: str, n: int, lefts, rights) -> list:
             prod = mult(keys[a], keys[b])
             rows += [(a, b, c, str(prod[k])) for c, k in enumerate(keys) if prod[k]]
     return rows
+
+
+def transition_json_text(matrix) -> str:
+    """The text TransitionMatrix.json_text renders, by dumping the whole document.
+
+    The document goes through json.dumps with indent 2, the way the cache
+    and the command line rendered it before the rows were filled into a
+    template.
+    """
+    return json.dumps(matrix.to_json_doc(), indent=2) + "\n"

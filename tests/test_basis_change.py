@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env, clear_memos
+from oracles import transition_json_text
 from nestfock import basis_change
 from nestfock.basis_change import (
     CacheError,
@@ -479,6 +481,110 @@ class TestTransitionMatrixType:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             TransitionMatrix("b1", "b1", 0, [pr([], [1])], [pr([], [1])], [[1, 2]])
+
+
+def unreduced(entry: str) -> str:
+    """The same fraction as entry, written with numerator and denominator doubled."""
+    f = Fraction(entry)
+    return f"{2 * f.numerator}/{2 * f.denominator}"
+
+
+def resealed(doc: dict) -> dict:
+    """doc with its checksum made valid again."""
+    doc["checksum"] = _checksum({k: v for k, v in doc.items() if k != "checksum"})
+    return doc
+
+
+class TestRender:
+    @pytest.mark.parametrize("n", range(7))
+    def test_json_text_is_the_indent_two_dump(self, n):
+        for route in ROUTES:
+            mat = transition_matrix(*route, n)
+            assert mat.json_text() == transition_json_text(mat)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            hilb_fixed_in_p(3),
+            hilb_L_in_fixed(2),
+            TransitionMatrix("b1", "b1", 0, [], [], []),
+            TransitionMatrix("b1", "b2", 1, [pr([], [1])], [], [[]]),
+        ],
+        ids=["hilb-fixed", "hilb-L", "no-rows", "no-columns"],
+    )
+    def test_other_shapes_render_as_the_dump(self, mat):
+        assert mat.json_text() == transition_json_text(mat)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_loaded_document_reuses_its_checksum_and_strings(self, n, monkeypatch):
+        calls = []
+        checksum = basis_change._checksum
+        monkeypatch.setattr(basis_change, "_checksum", lambda p: calls.append(1) or checksum(p))
+        for route in ROUTES:
+            text = transition_matrix(*route, n).json_text()
+            calls.clear()
+            loaded = TransitionMatrix.from_json_doc(json.loads(text))
+            assert loaded.json_text() == text
+            assert calls == [1]  # the validation; the rendering computes none
+
+    def test_csv_strings_of_a_loaded_document(self):
+        mat = b3_in_b1(4)
+        loaded = TransitionMatrix.from_json_doc(json.loads(mat.json_text()))
+        assert loaded.entry_strings() == mat.entry_strings()
+        assert mat.entry_strings() == tuple(tuple(str(x) for x in row) for row in mat.rows)
+
+    @pytest.mark.parametrize("change", ["unreduced entry", "extra field", "float key", "string row"])
+    def test_valid_noncanonical_document_renders_canonically(self, change):
+        mat = transition_matrix("b3", "b2", 3)
+        doc = json.loads(mat.json_text())
+        if change == "unreduced entry":
+            r, c = next((r, c) for r, row in enumerate(doc["rows"]) for c, x in enumerate(row) if "/" in x)
+            doc["rows"][r][c] = unreduced(doc["rows"][r][c])
+        elif change == "extra field":
+            doc["note"] = "kept by the checksum, dropped by the rendering"
+        elif change == "float key":
+            doc["key_order"]["cols"][0]["i"] = float(doc["key_order"]["cols"][0]["i"])
+        else:
+            # a row of one-character entries, written as one string
+            r = next(r for r, row in enumerate(doc["rows"]) if all(len(x) == 1 for x in row))
+            doc["rows"][r] = "".join(doc["rows"][r])
+        loaded = TransitionMatrix.from_json_doc(resealed(doc))
+        assert loaded == mat
+        assert loaded.json_text() == mat.json_text()
+        assert loaded.to_json_doc()["checksum"] != doc["checksum"]
+
+
+class TestChecksum:
+    @pytest.mark.parametrize("n", range(7))
+    def test_checksum_is_the_sha256_of_the_sorted_compact_payload(self, n):
+        for route in ROUTES:
+            doc = transition_matrix(*route, n).to_json_doc()
+            payload = {k: v for k, v in doc.items() if k != "checksum"}
+            blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+            assert _checksum(payload) == hashlib.sha256(blob).hexdigest() == doc["checksum"]
+
+    def test_hashlib_gives_the_same_digest_without_the_builtin_module(self, monkeypatch):
+        payload = b2_in_b1(3).payload()
+        expected = _checksum(payload)
+        calls = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(1) or sha256(data))
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        assert _checksum(payload) == expected
+        assert calls == [1]
+
+    @pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "hashlib"])
+    def test_damaged_document_raises_cache_error(self, tmp_path, monkeypatch, builtin):
+        path = cache_store(b2_in_b1(3), tmp_path)
+        doc = json.loads(path.read_text())
+        doc["rows"][1][0] = unreduced("5/7") if doc["rows"][1][0] == "5/7" else "5/7"
+        path.write_text(json.dumps(doc, indent=2))
+        if not builtin:
+            monkeypatch.setitem(sys.modules, "_sha256", None)
+            monkeypatch.setitem(sys.modules, "_sha2", None)
+        with pytest.raises(CacheError, match="checksum"):
+            cache_load("b2", "b1", 3, tmp_path)
 
 
 class TestHilbertSide:

@@ -1,15 +1,75 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import child_env, run_cli
 from nestfock import cli
 from nestfock.basis_change import _checksum
+
+# the modules a transition call runs; argparse, hashlib, ring, symfunc and verify stay unrun
+TRANSITION_MODULES = [
+    "nestfock",
+    "nestfock.basis_change",
+    "nestfock.cli",
+    "nestfock.curve_classes",
+    "nestfock.fock",
+    "nestfock.incidence",
+    "nestfock.partitions",
+]
+
+
+# tokens for argument lists: every flag of the command line, some misspelt, and
+# values that each option accepts or refuses
+FLAGS = [
+    "--from", "--to", "--degree", "-n", "--basis", "--a", "--b", "--max-n", "--suite",
+    "--cache-dir", "--format", "--max-degree", "--deg", "--degree=3", "-n3", "-h", "--", "-x",
+]
+VALUES = [
+    "b1", "b2", "b3", "b9", "ordinary", "3", "0", "12", "13", "-1", " 7", "+2", "x", "",
+    "json", "csv", "all", "hooks", "cache", "{}", "-", "--format", "transition",
+]
+
+
+def accepted_values(options):
+    if "choices" in options:
+        return list(options["choices"])
+    return ["0", "3", "12", "13", " 7", "+2"] if options.get("type") is int else ["cache", "", "{}", "a b"]
+
+
+@st.composite
+def argument_lists(draw):
+    """A subcommand with each required option and some others, in any order,
+    valid or invalid values, and now and then one stray token."""
+    command = draw(st.sampled_from(list(cli.SUBCOMMANDS)))
+    argv = [command]
+    for flags, options in draw(st.permutations(cli.COMMON_OPTIONS + cli.SUBCOMMANDS[command][1])):
+        if options.get("required") or draw(st.booleans()):
+            argv.append(draw(st.sampled_from(flags)))
+            argv.append(draw(st.one_of(st.sampled_from(accepted_values(options)), st.sampled_from(VALUES))))
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(FLAGS + VALUES)))
+    return argv
+
+
+def run_probe(probe, *args, cwd):
+    """Run python -c probe with args in a fresh process that imports this checkout."""
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=child_env(),
+    )
 
 
 class TestTransition:
@@ -157,6 +217,28 @@ class TestDeterminismAndCache:
         again = run_cli(*args, cwd=tmp_path)
         assert again.returncode == 0 and again.stdout == fresh.stdout
 
+    @pytest.mark.parametrize("change", ["compact", "unreduced entry"])
+    def test_valid_noncanonical_document_prints_canonical_bytes(self, tmp_path, change):
+        # a compact document and one holding "2/12" for "1/6", each with a
+        # valid checksum: the output is the canonical document and carries
+        # the checksum of what it prints
+        args = ("transition", "--from", "b2", "--to", "b1", "--degree", "3")
+        fresh = run_cli(*args, cwd=tmp_path)
+        cache_file = tmp_path / ".nestfock-cache" / "b2--b1--3.json"
+        doc = json.loads(cache_file.read_text())
+        if change == "unreduced entry":
+            r, c = next((r, c) for r, row in enumerate(doc["rows"]) for c, x in enumerate(row) if "/" in x)
+            f = Fraction(doc["rows"][r][c])
+            doc["rows"][r][c] = f"{2 * f.numerator}/{2 * f.denominator}"
+            doc["checksum"] = _checksum({k: v for k, v in doc.items() if k != "checksum"})
+        cache_file.write_text(json.dumps(doc, separators=(",", ":")))
+        again = run_cli(*args, cwd=tmp_path)
+        assert again.returncode == 0 and again.stderr == ""
+        assert again.stdout == fresh.stdout
+        printed = json.loads(again.stdout)
+        assert printed["checksum"] == _checksum({k: v for k, v in printed.items() if k != "checksum"})
+        assert (printed["checksum"] == doc["checksum"]) == (change == "compact")
+
 
 class TestProduct:
     def test_b1_degree_one_diagonal(self, tmp_path):
@@ -260,6 +342,42 @@ class TestExitPath:
             )
         assert res.returncode == 120 and "No space left on device" in res.stderr
 
+    @pytest.mark.parametrize(
+        "args, status, teardown",
+        [
+            (["pairs", "-n", "2"], 0, False),
+            (["transition", "--from", "b2", "--to", "b1", "-n", "2", "--cache-dir", "damaged"], 1, False),
+            (["product", "--basis", "b5", "-n", "2"], 2, True),
+            (["transition", "--from", "b2", "--to", "b1", "-n", "2", "--cache-dir", "a-file"], 1, True),
+        ],
+        ids=["output", "cache-error", "usage-error", "uncaught-error"],
+    )
+    def test_run_skips_teardown_only_after_main_returns(self, tmp_path, args, status, teardown):
+        # an atexit handler runs on the interpreter's own exit and not on os._exit
+        (tmp_path / "damaged").mkdir()
+        (tmp_path / "damaged" / "b2--b1--2.json").write_text("{not json")
+        (tmp_path / "a-file").write_text("")
+        probe = (
+            "import atexit, sys\n"
+            "atexit.register(sys.stderr.write, 'teardown\\n')\n"
+            "from nestfock.cli import run\n"
+            "run(sys.argv[1:])\n"
+        )
+        res = run_probe(probe, *args, cwd=tmp_path)
+        assert res.returncode == status
+        assert res.stderr.endswith("teardown\n") == teardown
+        if status == 0:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert cli.main(args) == 0
+            assert res.stdout == buf.getvalue() and res.stderr == ""
+        if args[-1] == "a-file":
+            assert "Traceback" in res.stderr
+
+    def test_console_script_enters_through_run(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert 'nestfock = "nestfock.cli:run"' in pyproject.read_text().splitlines()
+
     def test_damaged_cache_document_exits_one(self, tmp_path):
         (tmp_path / "cache").mkdir()
         (tmp_path / "cache" / "b2--b1--2.json").write_text("{not json")
@@ -303,6 +421,13 @@ class TestVerify:
         res = run_cli("verify", "--suite", "nonsense", cwd=tmp_path)
         assert res.returncode == 2
 
+    def test_suite_choices_are_the_suites_of_verify(self):
+        from nestfock import verify
+
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (suite,) = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
+        assert suite.choices == tuple(verify.SUITES) + ("all",)
+
     def test_import_loads_neither_openssl_nor_csv(self, tmp_path):
         # only cache documents need hashlib and only csv output needs csv
         probe = (
@@ -318,3 +443,58 @@ class TestVerify:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout == "[]\n"
+
+
+class TestStartup:
+    """A call runs only the modules its subcommand needs."""
+
+    @pytest.mark.parametrize("cache, fmt", [("cold", "json"), ("warm", "json"), ("warm", "csv")])
+    def test_transition_runs_no_argparse_openssl_ring_symfunc_or_verify(self, tmp_path, cache, fmt):
+        # the package registers its modules lazily, so an unrun module may sit
+        # in sys.modules; a module whose code ran is a plain module object
+        args = ["transition", "--from", "b3", "--to", "b1", "-n", "4", "--format", fmt, "--cache-dir", "c"]
+        if cache == "warm":
+            assert run_cli(*args, cwd=tmp_path).returncode == 0
+        probe = (
+            "import sys, types\n"
+            "from nestfock.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "ran = sorted(m for m, v in sys.modules.items() if type(v) is types.ModuleType)\n"
+            "watched = [m for m in ran if 'nestfock' in m or m in ('argparse', 'hashlib', '_hashlib')]\n"
+            "sys.stderr.write(repr((status, watched)))\n"
+        )
+        res = run_probe(probe, *args, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == repr((0, TRANSITION_MODULES))
+
+    def test_benchmark_argument_lists_are_plain(self):
+        for argv in (
+            ["transition", "--from", "b3", "--to", "b1", "-n", "7", "--format", "csv", "--cache-dir", "/c"],
+            ["product", "--basis", "ordinary", "-n", "5", "--format", "json", "--cache-dir", "/c"],
+            ["verify", "--suite", "loop", "--max-n", "5", "--cache-dir", "/c"],
+        ):
+            assert vars(cli.read_plain(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pairs", "-n", "2", "--cache-dir", "-x"],  # argparse: expected one argument
+            ["pairs", "-n", "2", "--cache-dir", "--format"],
+            ["pairs", "--deg", "2"],
+            ["pairs", "--degree=2"],
+            ["pairs", "-n", "x"],
+            ["pairs", "-n", "2", "-h"],
+            ["pairs"],
+            ["transition", "--from", "b9", "--to", "b1", "-n", "1"],
+            ["--format", "csv", "pairs", "-n", "2"],
+        ],
+    )
+    def test_any_other_argument_list_is_left_to_argparse(self, argv):
+        assert cli.read_plain(argv) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(argument_lists(), st.lists(st.sampled_from([*cli.SUBCOMMANDS, *FLAGS, *VALUES]))))
+    def test_a_plain_argument_list_reads_as_argparse_reads_it(self, argv):
+        plain = cli.read_plain(argv)
+        if plain is not None:
+            assert vars(plain) == vars(cli.build_parser().parse_args(argv))
