@@ -182,7 +182,7 @@ class TransitionMatrix:
         return FockVector(zip(self.col_keys, self.rows[self._index[key]]))
 
     def apply(self, v: FockVector) -> FockVector:
-        """Image of a vector in source-basis coordinates, summed in integers (rows scaled once)."""
+        """Image of a vector in source-basis coordinates, summed in integers per column (rows scaled once)."""
         terms = []
         for key, c in v.items():
             if key not in self._ints:
@@ -190,13 +190,13 @@ class TransitionMatrix:
                 self._ints[key] = ([(j, x) for j, x in enumerate(row) if x], d)
             terms.append((c, self._ints[key]))
         den = lcm(*(c.denominator * d for c, (_, d) in terms))
-        acc: dict = {}
+        acc = [0] * len(self.col_keys)
         for c, (nonzero, d) in terms:
             f = c.numerator * (den // (c.denominator * d))
             for j, x in nonzero:
-                acc[j] = acc.get(j, 0) + f * x
+                acc[j] += f * x
         cols = self.col_keys
-        return FockVector._wrap({cols[j]: Fraction(x, den) for j, x in acc.items() if x})
+        return FockVector._wrap({cols[j]: Fraction(x, den) for j, x in enumerate(acc) if x})
 
     def __eq__(self, other) -> bool:
         return (

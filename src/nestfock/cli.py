@@ -203,12 +203,17 @@ def cmd_product(args, error) -> int:
     n = args.degree
     _check_range(error, "degree", n, args.max_degree)
     tag = "b1" if args.basis == "b1" else "b2"
-    left = right = None
+
+    def parse(text):
+        # key_from_obj would truncate floats and read strings and bools as parts
+        obj = json.loads(text)
+        fields = ([obj["i"]], obj["nu"]) if tag == "b2" else (obj["lambda"], obj["mu"])
+        if not all(type(f) is list and all(type(x) is int for x in f) for f in fields):
+            raise TypeError("key entries must be JSON integers")
+        return key_from_obj(tag, obj)
+
     try:
-        if args.a is not None:
-            left = key_from_obj(tag, json.loads(args.a))
-        if args.b is not None:
-            right = key_from_obj(tag, json.loads(args.b))
+        left, right = [None if text is None else parse(text) for text in (args.a, args.b)]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         error(f"cannot parse key: {exc}")
     keys = pair_keys(n) if args.basis == "b1" else operator_keys(n)

@@ -5,20 +5,19 @@ The normalized product on the fixed-point basis is diagonal with
 eigenvalue (-1)^(n+1) h(lam, mu) at ambient degree n (its n-point
 analog has eigenvalue (-1)^n hook_product(lam)^2).  Both run through
 ``_diagonal_star``, which checks the degrees and multiplies key by key.
-The operator-basis product is one contraction over the fixed points t:
-with B = b2_in_b1(n) and the pairing-transport law B H B^T = Z, the
-fixed-point basis in the operator basis is H B^T Z^-1, so
+The operator-basis product ``star_tilde`` is star_b1 carried to the
+fixed points by B = b2_in_b1(n) and back by B^-1 = b1_in_b2(n).  With
+the pairing-transport law B H B^T = Z, the fixed-point basis in the
+operator basis is H B^T Z^-1, so its structure constants are
 
     c_ab^c = (-1)^(n+1) z(c)^-1 sum_t B_at B_bt B_ct h(t)^2.
 
-The full tensor is never stored: each product maps both operands to
-fixed-point coordinates through the sparse rows of B, multiplies them
-pointwise with h(t)^2 and contracts with the rows of B again.  B is
-scaled by the common denominator D of its entries, so the contraction
-runs in integers and each structure constant is one Fraction at the end.
-The sum S(a, b, c) = sum_t N_at N_bt N_ct h(t)^2 with N = D B is
-symmetric in a, b and c, so ``product_table`` computes it once per
-sorted key triple and reads the other five orders from its memo.
+The full tensor is never stored.  B is scaled by the common denominator
+D of its entries, so S(a, b, c) = sum_t N_at N_bt N_ct h(t)^2 with
+N = D B runs in integers and each constant is one Fraction at the end.
+S is symmetric in a, b and c, so ``_sums`` contracts it once per sorted
+key triple into a memo kept per degree, and serves both
+``product_table`` and ``ordinary_cup``.
 
 An ordinary cohomology class of the degree-n incidence Hilbert scheme
 is represented by an operator-basis vector of degree n; the key
@@ -28,9 +27,7 @@ followed by the selection of the keys with length(rho) equal to
 length(nu1) + length(nu2) - n, scaled by (-1)^(n+1); general classes
 are handled by bilinearity.  The rule is forced by the normalization
 of the forgetful map, which kills every positive power of the
-equivariant parameter.  An ordinary table therefore only needs the
-triples with length(c) = length(a) + length(b) - n; a pair whose
-target length is negative gives nothing.
+equivariant parameter.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .basis_change import _integer_rows, b2_in_b1, operator_keys, pair_keys
+from .basis_change import _integer_rows, b1_in_b2, b2_in_b1, operator_keys, pair_keys
 from .fock import B2Key, FockVector, b2_degree, vector_degree
 from .incidence import IncidencePair, derive_lambda, h_pair
 from .partitions import Partition, add_corner, canonical_generators, hook_product, z_factor
@@ -55,12 +52,12 @@ def _diagonal_star(v: FockVector, w: FockVector, n: int, degree, weight) -> Fock
         for k in vec.keys():
             if degree(k) != n:
                 raise ValueError(f"key {k!r} has degree {degree(k)}, expected {n}")
-    out = []
+    out = {}
     for k, c in v.items():
         d = w[k]
-        if d:
-            out.append((k, c * d * weight(k)))
-    return FockVector(out)
+        if d:  # one Fraction per key, multiplied out in integers
+            out[k] = Fraction(c.numerator * d.numerator * weight(k), c.denominator * d.denominator)
+    return FockVector._wrap(out)
 
 
 def star_b1(v: FockVector, w: FockVector, n: int) -> FockVector:
@@ -69,57 +66,70 @@ def star_b1(v: FockVector, w: FockVector, n: int) -> FockVector:
     return _diagonal_star(v, w, n, lambda p: p.n, lambda p: sign * h_pair(p))
 
 
-@lru_cache(maxsize=None)
-def _contraction_data(n: int):
-    """Degree-n data of the operator-basis product contraction.
-
-    B = b2_in_b1(n) is stored as N / D with N integral: the operator
-    keys and their index, the dense rows N_a, the nonzero entries
-    (t, N_at) of each row, h(t)^2 per fixed point t, the sign (-1)^(n+1)
-    and the denominators z(c) D^3 per operator key c.  The contraction
-    then runs in integers.
-    """
-    b = b2_in_b1(n)
-    nums, den = _integer_rows(b.rows)
-    index = {k: a for a, k in enumerate(b.row_keys)}
-    rows = tuple(tuple((t, x) for t, x in enumerate(row) if x) for row in nums)
-    h2 = tuple(h_pair(p) ** 2 for p in b.col_keys)
-    denoms = tuple(z_factor(k.nu) * den**3 for k in b.row_keys)
-    return b.row_keys, index, nums, rows, h2, (-1) ** (n + 1), denoms
-
-
-def _fixed_coords(v: FockVector, index, rows) -> tuple[dict, int]:
-    """Fixed-point coordinates of an operator-basis vector as (X, d).
-
-    X maps t to the integer d D sum_a v_a B_at, with d the common
-    denominator of the coefficients of v.
-    """
-    (nums,), d = _integer_rows(([c for _, c in v.items()],))
-    x: dict = {}
-    for k, m in zip(v.keys(), nums):
-        for t, b in rows[index[k]]:
-            x[t] = x.get(t, 0) + m * b
-    return x, d
-
-
 def star_tilde(v: FockVector, w: FockVector) -> FockVector:
-    """Normalized product in the operator basis (degree inferred)."""
+    """Normalized product in the operator basis (degree inferred).
+
+    Both operands go to the fixed points by B = b2_in_b1(n), multiply
+    there with star_b1 and come back by B^-1 = b1_in_b2(n).
+    """
     if not v or not w:
         return FockVector()
     n = vector_degree(v, b2_degree)
     if vector_degree(w, b2_degree) != n:
         raise ValueError("operands live in different graded pieces")
-    keys, index, _, rows, h2, sign, denoms = _contraction_data(n)
-    x, dx = _fixed_coords(v, index, rows)
-    y, dy = _fixed_coords(w, index, rows)
-    prod = {t: xt * y[t] * h2[t] for t, xt in x.items() if t in y}
-    scale = sign * dx * dy
-    out = []
-    for c, row in enumerate(rows):
-        acc = sum(b * prod[t] for t, b in row if t in prod)
-        if acc:
-            out.append((keys[c], Fraction(acc, denoms[c] * scale)))
-    return FockVector(out)
+    b = b2_in_b1(n)
+    return b1_in_b2(n).apply(star_b1(b.apply(v), b.apply(w), n))
+
+
+@lru_cache(maxsize=None)
+def _contraction_data(n: int):
+    """Degree-n data of the operator-basis product contraction.
+
+    B = b2_in_b1(n) is stored as N / D with N integral: the operator
+    keys and their index, the dense rows N_a, h(t)^2 per fixed point t,
+    the denominators z(c) D^3 per operator key c, the key indices by
+    creation length and the memo of S keyed by sorted triple, which
+    lives as long as this entry.
+    """
+    b = b2_in_b1(n)
+    nums, den = _integer_rows(b.rows)
+    keys = b.row_keys
+    h2 = tuple(h_pair(p) ** 2 for p in b.col_keys)
+    denoms = tuple(z_factor(k.nu) * den**3 for k in keys)
+    by_length: dict = {}
+    for c, k in enumerate(keys):
+        by_length.setdefault(k.nu.length, []).append(c)
+    return keys, {k: a for a, k in enumerate(keys)}, nums, h2, denoms, by_length, {}
+
+
+def _sums(n: int, pairs, ordinary: bool):
+    """Yield (a, b, [(c, sign * S(a, b, c)), ...]) for each pair (a, b) of key indices.
+
+    c runs over the operator keys in order, restricted for the cup
+    product to length(c) = length(a) + length(b) - n, and only nonzero
+    sums are kept.  The normalized product has sign (-1)^(n+1) and the
+    cup product rescales by it once more.  A missing S is contracted
+    from the pointwise product of rows a and b and kept in the memo of
+    its degree, so each sorted triple is computed once.
+    """
+    keys, _, nums, h2, _, by_length, memo = _contraction_data(n)
+    sign = 1 if ordinary else (-1) ** (n + 1)
+    every = range(len(keys))
+    for a, b in pairs:
+        lo, hi = sorted((a, b))
+        targets = by_length.get(keys[a].nu.length + keys[b].nu.length - n, ()) if ordinary else every
+        ab = None
+        batch = []
+        for c in targets:
+            t = (lo, hi, c) if c >= hi else (lo, c, hi) if c >= lo else (c, lo, hi)
+            s = memo.get(t)
+            if s is None:
+                if ab is None:
+                    ab = list(map(mul, map(mul, nums[a], nums[b]), h2))
+                s = memo[t] = sum(map(mul, ab, nums[c]))
+            if s:
+                batch.append((c, sign * s))
+        yield a, b, batch
 
 
 def product_table(basis: str, n: int, lefts, rights):
@@ -129,38 +139,19 @@ def product_table(basis: str, n: int, lefts, rights):
     operator_keys(n) for "b2" (star_tilde) and "ordinary" (ordinary_cup).
     a runs over lefts, b over rights, c over the keys in order, and coeff
     is the exact constant as a canonical fraction string.  The b1 table
-    is its diagonal.  The others read S(a, b, c) from a memo keyed by the
-    sorted triple; a missing entry is contracted from the pointwise
-    product of rows a and b, so only the triples the table needs are
-    computed, and each one once.
+    is its diagonal; the others read S from ``_sums``.
     """
     if basis == "b1":
         sign, keys = (-1) ** (n + 1), pair_keys(n)
         yield from ((a, a, a, str(sign * h_pair(keys[a]))) for a in lefts if a in rights)
         return
-    keys, _, nums, _, h2, sign, denoms = _contraction_data(n)
-    targets = lambda a, b: range(len(keys))
-    if basis == "ordinary":
-        sign, by_length = 1, {}  # the cup product rescales by (-1)^(n+1) again
-        for c, k in enumerate(keys):
-            by_length.setdefault(k.nu.length, []).append(c)
-        targets = lambda a, b: by_length.get(keys[a].nu.length + keys[b].nu.length - n, ())
-    memo: dict = {}
-    for a in lefts:
-        for b in rights:
-            lo, hi = sorted((a, b))
-            ab = None
-            for c in targets(a, b):
-                t = (lo, hi, c) if c >= hi else (lo, c, hi) if c >= lo else (c, lo, hi)
-                s = memo.get(t)
-                if s is None:
-                    if ab is None:
-                        ab = list(map(mul, map(mul, nums[a], nums[b]), h2))
-                    s = memo[t] = sum(map(mul, ab, nums[c]))
-                if s:
-                    g = gcd(s, denoms[c])
-                    p, q = sign * s // g, denoms[c] // g
-                    yield a, b, c, str(p) if q == 1 else f"{p}/{q}"
+    denoms = _contraction_data(n)[4]
+    pairs = ((a, b) for a in lefts for b in rights)
+    for a, b, batch in _sums(n, pairs, basis == "ordinary"):
+        for c, s in batch:
+            g = gcd(s, denoms[c])
+            p, q = s // g, denoms[c] // g
+            yield a, b, c, str(p) if q == 1 else f"{p}/{q}"
 
 
 def star_hilb(v: FockVector, w: FockVector, n: int) -> FockVector:
@@ -216,21 +207,19 @@ class OrdinaryClass:
 
 
 def ordinary_cup(a: OrdinaryClass, b: OrdinaryClass) -> OrdinaryClass:
-    """Cup product of ordinary classes on the same incidence Hilbert scheme."""
+    """Cup product of ordinary classes on the same incidence Hilbert scheme.
+
+    The structure constants of the key pairs, summed by bilinearity.
+    """
     if a.n != b.n:
         raise ValueError("classes live on different incidence Hilbert schemes")
-    n = a.n
-    sign = (-1) ** (n + 1)
-    acc = FockVector()
-    for l1, va in a.components().items():
-        for l2, vb in b.components().items():
-            target = l1 + l2 - n
-            if target < 0:
-                continue
-            z = star_tilde(va, vb)
-            sel = FockVector([(k, c) for k, c in z.items() if k.nu.length == target])
-            acc = acc + sign * sel
-    return OrdinaryClass(n, acc)
+    keys, index, _, _, denoms, _, _ = _contraction_data(a.n)
+    pairs = ((index[k], index[l]) for k in a.vec.keys() for l in b.vec.keys())
+    out = []
+    for x, y, batch in _sums(a.n, pairs, True):
+        m = a.vec[keys[x]] * b.vec[keys[y]]
+        out += [(keys[c], m * Fraction(s, denoms[c])) for c, s in batch]
+    return OrdinaryClass(a.n, FockVector(out))
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from nestfock.basis_change import operator_keys, pair_keys
 from nestfock.fock import FockVector
 from nestfock.partitions import Cell, Corner, Partition
-from nestfock.ring import OrdinaryClass, ordinary_cup, star_b1, star_tilde
+from nestfock.ring import star_b1, star_tilde
 
 
 def p_in_m_expanded(nu: Partition) -> FockVector:
@@ -58,24 +58,26 @@ def addable_corners(lam: Partition) -> list[Corner]:
 def product_table_by_pairs(basis: str, n: int, lefts, rights) -> list:
     """Rows (a, b, c, coeff) of ring.product_table, one full product per ordered pair.
 
-    Multiplies the unit vectors of keys a and b with star_b1, star_tilde
-    or ordinary_cup and reads every c off the product, as the command
-    line did before the table function.
+    Multiplies the unit vectors of keys a and b with star_b1 or
+    star_tilde and reads every c off the product, as the command line
+    did before the table function.  The ordinary table keeps the c of
+    star_tilde with length(c) = length(a) + length(b) - n, scaled by
+    (-1)^(n+1), as the cup product did before it read the table.
     """
     U = FockVector.unit
     if basis == "b1":
         keys = pair_keys(n)
         mult = lambda x, y: star_b1(U(x), U(y), n)
-    elif basis == "b2":
-        keys = operator_keys(n)
-        mult = lambda x, y: star_tilde(U(x), U(y))
     else:
         keys = operator_keys(n)
-        mult = lambda x, y: ordinary_cup(OrdinaryClass(n, U(x)), OrdinaryClass(n, U(y))).vec
+        mult = lambda x, y: star_tilde(U(x), U(y))
     rows = []
     for a in lefts:
         for b in rights:
             prod = mult(keys[a], keys[b])
+            if basis == "ordinary":
+                target = keys[a].nu.length + keys[b].nu.length - n
+                prod = (-1) ** (n + 1) * FockVector((k, c) for k, c in prod.items() if k.nu.length == target)
             rows += [(a, b, c, str(prod[k])) for c, k in enumerate(keys) if prod[k]]
     return rows
 

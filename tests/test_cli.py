@@ -299,12 +299,30 @@ class TestProduct:
         assert json.loads(out)["triples"] or select[-1].startswith('{"lambda": [1, 1]')
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
-    def test_bad_key_is_usage_error(self, tmp_path):
+    def test_bad_key_is_usage_error(self, tmp_path, capsys):
         res = run_cli(
             "product", "--basis", "b2", "--degree", "1", "--a", '{"i": 5, "nu": []}',
             cwd=tmp_path,
         )
         assert res.returncode == 2
+        # keys that int() would truncate or read character by character
+        for basis, degree, key in (
+            ("b2", 1, '{"i": 1.7, "nu": [1]}'),
+            ("b2", 3, '{"i": 0, "nu": "21"}'),
+            ("b2", 1, '{"i": true, "nu": []}'),
+            ("b2", 1, '{"i": 0, "nu": [1.0]}'),
+            ("b2", 1, "[0, [1]]"),
+            ("b1", 1, '{"lambda": [true], "mu": [2]}'),
+            ("b1", 1, '{"lambda": [1], "mu": "2"}'),
+            ("ordinary", 1, '{"i": "1", "nu": []}'),
+        ):
+            for side in ("--a", "--b"):
+                args = ["product", "--basis", basis, "-n", str(degree), side, key]
+                with pytest.raises(SystemExit) as exc:
+                    cli.main([*args, "--cache-dir", str(tmp_path)])
+                assert exc.value.code == 2, args
+                out, err = capsys.readouterr()
+                assert out == "" and "cannot parse key" in err, args
 
 
 class TestExitPath:

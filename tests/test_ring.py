@@ -16,6 +16,7 @@ from nestfock.basis_change import (
 from nestfock.fock import B2Key, FockVector, pair_b1, pair_b2, pair_hilb_fixed
 from nestfock.incidence import IncidencePair
 from nestfock.partitions import Partition, enumerate_partitions, hook_product
+from conftest import clear_memos
 from oracles import product_table_by_pairs
 from nestfock.ring import (
     OrdinaryClass,
@@ -80,18 +81,31 @@ class TestStarProducts:
                 assert prod == Fraction((-1) ** n) * hook_product(lam) * sigma
 
 
-def transport_star(v, w, n):
-    """Oracle: the operator-basis product by transport through the fixed points."""
-    return b1_in_b2(n).apply(star_b1(b2_in_b1(n).apply(v), b2_in_b1(n).apply(w), n))
+def table_star(v, w, n):
+    """Oracle: the operator-basis product from the b2 structure constants, by bilinearity."""
+    keys = operator_keys(n)
+    every = range(len(keys))
+    consts = {}
+    for a, b, c, coeff in product_table("b2", n, every, every):
+        consts.setdefault((keys[a], keys[b]), []).append((keys[c], Fraction(coeff)))
+    return FockVector(
+        (k, x * y * coeff)
+        for ka, x in v.items()
+        for kb, y in w.items()
+        for k, coeff in consts.get((ka, kb), ())
+    )
 
 
 class TestStarTildeContraction:
+    """star_tilde, the transport through the fixed points, against the b2
+    structure constants of product_table summed by bilinearity."""
+
     @pytest.mark.parametrize("n", range(5))
     def test_matches_transport_on_basis_pairs(self, n):
         keys = operator_keys(n)
         for a in keys:
             for b in keys:
-                assert star_tilde(U(a), U(b)) == transport_star(U(a), U(b), n)
+                assert star_tilde(U(a), U(b)) == table_star(U(a), U(b), n)
 
     @given(n=st.integers(0, 5), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -100,12 +114,12 @@ class TestStarTildeContraction:
         coeffs = st.lists(st.integers(-3, 3), min_size=len(keys), max_size=len(keys))
         v = FockVector(zip(keys, data.draw(coeffs)))
         w = FockVector(zip(keys, data.draw(coeffs)))
-        assert star_tilde(v, w) == transport_star(v, w, n)
+        assert star_tilde(v, w) == table_star(v, w, n)
 
     def test_rational_coefficients(self):
         v = Fraction(1, 3) * U(key(0, [1, 1])) - Fraction(5, 2) * U(key(1, [1]))
         w = Fraction(-7, 4) * U(key(2, [])) + 2 * U(key(0, [2]))
-        assert star_tilde(v, w) == transport_star(v, w, 2)
+        assert star_tilde(v, w) == table_star(v, w, 2)
 
     @pytest.mark.parametrize("n", range(5))
     def test_commutative_and_frobenius(self, n):
@@ -147,7 +161,9 @@ class TestProductTable:
     @pytest.mark.parametrize("n", range(6))
     def test_each_needed_sorted_triple_is_contracted_once(self, basis, n, monkeypatch):
         # every contraction is one call of sum in ring; the table must make one
-        # per sorted triple it needs, whatever order it meets the triple in
+        # per sorted triple it needs, whatever order it meets the triple in,
+        # and a second table of the same degree reads them all from the memo
+        clear_memos()
         calls = []
         monkeypatch.setattr(ring, "sum", lambda xs: calls.append(1) or sum(xs), raising=False)
         keys = operator_keys(n)
@@ -162,6 +178,9 @@ class TestProductTable:
             if basis == "b2" or length(c) == length(a) + length(b) - n
         }
         assert len(calls) == len(needed)
+        calls.clear()
+        list(product_table(basis, n, every, every))
+        assert not calls
 
 
 class TestOrdinaryClass:

@@ -1,11 +1,13 @@
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_memos
+from oracles import product_table_by_pairs
 from nestfock import basis_change, fock, ring, verify
 from nestfock.basis_change import (
     TransitionMatrix,
@@ -276,6 +278,39 @@ class TestSuitePhi:
         (res,) = [r for r in verify.suite_phi(3) if r.name.startswith(name)]
         assert not res.ok
         assert {"lambda": [2, 1], "mu": [3], "check": "monomial"} in json.loads(res.detail)
+
+
+class TestSuiteOrdinary:
+    def test_passes_every_check_at_degree_six(self):
+        results = verify.suite_ordinary(6)
+        assert len(results) == 4 and all(r.ok for r in results), [r.name for r in results if not r.ok]
+
+    def test_doubled_h_squared_in_the_contraction_is_caught(self, monkeypatch):
+        """h(t)^2 of the first fixed point doubled in the degree-1 contraction data.
+
+        The product table then differs from the one read off star_tilde, and
+        suite_ordinary's unit check fails.
+        """
+        clear_memos()  # else the memo keeps the sums of the true data
+        true_data = ring._contraction_data
+
+        @lru_cache(maxsize=None)
+        def doubled(m):
+            keys, index, nums, h2, denoms, by_length, memo = true_data(m)
+            if m == 1:
+                h2, memo = (2 * h2[0],) + h2[1:], {}
+            return keys, index, nums, h2, denoms, by_length, memo
+
+        monkeypatch.setattr(ring, "_contraction_data", doubled)
+        try:
+            every = range(2)
+            table = list(ring.product_table("b2", 1, every, every))
+            results = {r.name: r.ok for r in verify.suite_ordinary(3)}
+        finally:
+            monkeypatch.undo()
+            clear_memos()
+        assert table != product_table_by_pairs("b2", 1, every, every)
+        assert not results["unit exists with u_n = n!, n <= 3"]
 
 
 PARTITIONS = st.lists(st.integers(1, 3), max_size=4).map(Partition)
