@@ -693,15 +693,12 @@ def transition_matrix(source: str, target: str, n: int) -> TransitionMatrix:
 def _operator_matrix(op, index, n: int, n_out: int, to_ops, to_fixed) -> TransitionMatrix:
     """op(*index, -) from degree n to n_out in fixed-point coordinates, built once.
 
-    The product S O D, skipping zeros: S = to_ops(n) carries each key to
-    the operator basis, O holds the image of each operator key under op,
-    and D = to_fixed(n_out) carries the images back.
+    Row by row: S = to_ops(n) expands each key in the operator basis, op
+    acts on that expansion, and D = to_fixed(n_out) carries the image back.
     """
     src, dst = to_ops(n), to_fixed(n_out)
-    image = lambda k: op(*index, FockVector.unit(k))
-    o = _expansion_matrix(src.target, dst.source, n, src.col_keys, dst.row_keys, image)
-    rows = _sparse_mul(_sparse_mul(src.rows, o.rows), dst.rows)
-    return TransitionMatrix(src.source, dst.target, n, src.row_keys, dst.col_keys, rows)
+    image = lambda k: dst.apply(op(*index, src.expand(k)))
+    return _expansion_matrix(src.source, dst.target, n, src.row_keys, dst.col_keys, image)
 
 
 def _conjugated(op, index, v: FockVector, n: int, n_out: int, to_ops, to_fixed) -> FockVector:

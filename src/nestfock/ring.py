@@ -27,7 +27,9 @@ followed by the selection of the keys with length(rho) equal to
 length(nu1) + length(nu2) - n, scaled by (-1)^(n+1); general classes
 are handled by bilinearity.  The rule is forced by the normalization
 of the forgetful map, which kills every positive power of the
-equivariant parameter.
+equivariant parameter.  The unit is read off the same sums: the row of
+the degree-0 key (0, (1^n)) must be u_n times the identity, and the
+unit is that key over u_n.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .basis_change import _integer_rows, b1_in_b2, b2_in_b1, operator_keys, pair_keys
+from .basis_change import _integer_rows, b1_in_b2, b2_in_b1, pair_keys
 from .fock import B2Key, FockVector, b2_degree, vector_degree
 from .incidence import IncidencePair, derive_lambda, h_pair
 from .partitions import Partition, add_corner, canonical_generators, hook_product, z_factor
@@ -175,13 +177,6 @@ class OrdinaryClass:
     def __setattr__(self, name, value):
         raise AttributeError("OrdinaryClass is immutable")
 
-    def components(self) -> dict[int, FockVector]:
-        """Split by creation length, i.e. by ordinary degree."""
-        out: dict[int, list] = {}
-        for k, c in self.vec.items():
-            out.setdefault(k.nu.length, []).append((k, c))
-        return {ell: FockVector(terms) for ell, terms in out.items()}
-
     def ordinary_degrees(self) -> set[int]:
         return {2 * (self.n - k.nu.length) for k in self.vec.keys()}
 
@@ -228,24 +223,24 @@ def _unit_data(n: int) -> tuple[Fraction, FockVector]:
 
     The degree-0 line is spanned by the key (0, (1^n)); the scale u_n
     is fixed by requiring the candidate to act as u_n times the
-    identity on every basis class, which is verified key by key.
+    identity on every basis class.  Its row of the cup table is read
+    straight off ``_sums`` and verified key by key.
     """
-    raw = FockVector.unit(B2Key(0, Partition([1] * n)))
-    raw_cls = OrdinaryClass(n, raw)
+    raw = B2Key(0, Partition([1] * n))
+    keys, index, _, _, denoms, _, _ = _contraction_data(n)
     u = None
-    for key in operator_keys(n):
-        prod = ordinary_cup(raw_cls, OrdinaryClass(n, FockVector.unit(key)))
-        rest = prod.vec - prod.vec[key] * FockVector.unit(key)
-        if rest:
+    for _, b, batch in _sums(n, ((index[raw], b) for b in range(len(keys))), True):
+        key, row = keys[b], dict(batch)
+        c = Fraction(row.pop(b, 0), denoms[b])
+        if row:
             raise ArithmeticError(f"degree-0 class does not act diagonally on {key!r}")
-        c = prod.vec[key]
         if u is None:
             u = c
         elif u != c:
             raise ArithmeticError(f"inconsistent unit normalization at {key!r}: {c} != {u}")
     if not u:
         raise ArithmeticError(f"unit normalization vanished at degree {n}")
-    return u, raw
+    return u, FockVector.unit(raw)
 
 
 def ordinary_unit(n: int) -> OrdinaryClass:

@@ -412,6 +412,15 @@ class TestExitPath:
         res = run_cli("verify", "--suite", "ordinary", "--max-n", "2", cwd=tmp_path)
         assert res.returncode == 0 and res.stderr == ""
         assert res.stdout.endswith(" checks passed\n") and "FAIL" not in res.stdout
+        res = run_cli("verify", "--suite", "ordinary", "--max-n", "6", cwd=tmp_path)
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout == (
+            "ok   unit exists with u_n = n!, n <= 6\n"
+            "ok   commutative and associative on basis triples, n <= 6\n"
+            "ok   degree additivity and Betti-zero vanishing, n <= 6\n"
+            "ok   top class squares to zero on the 1-point incidence scheme\n"
+            "4/4 checks passed\n"
+        )
 
 
 class TestBettiAndPairs:

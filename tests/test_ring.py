@@ -188,10 +188,8 @@ class TestOrdinaryClass:
         with pytest.raises(ValueError):
             OrdinaryClass(2, U(key(0, [1])))
 
-    def test_components(self):
+    def test_ordinary_degrees(self):
         cls = OrdinaryClass(2, U(key(0, [1, 1])) + U(key(2, [])))
-        comps = cls.components()
-        assert set(comps) == {0, 2}
         assert cls.ordinary_degrees() == {0, 4}
 
 

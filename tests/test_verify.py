@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import clear_memos
 from oracles import product_table_by_pairs
-from nestfock import basis_change, fock, ring, verify
+from nestfock import basis_change, cli, fock, ring, verify
 from nestfock.basis_change import (
     TransitionMatrix,
     _gram,
@@ -19,6 +19,7 @@ from nestfock.basis_change import (
     gram_b3,
     hilb_fixed_in_p,
     hilb_L_in_fixed,
+    operator_keys,
     pair_keys,
 )
 from nestfock.fock import B2Key, FockVector, loop_action
@@ -285,11 +286,13 @@ class TestSuiteOrdinary:
         results = verify.suite_ordinary(6)
         assert len(results) == 4 and all(r.ok for r in results), [r.name for r in results if not r.ok]
 
-    def test_doubled_h_squared_in_the_contraction_is_caught(self, monkeypatch):
-        """h(t)^2 of the first fixed point doubled in the degree-1 contraction data.
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_doubled_h_squared_in_one_degree_is_caught(self, monkeypatch, capsys, tmp_path, degree):
+        """h(t)^2 of the first fixed point doubled in one degree's contraction data.
 
         The product table then differs from the one read off star_tilde, and
-        suite_ordinary's unit check fails.
+        suite_ordinary's unit check fails, as does ``verify``, without a
+        traceback even where the unit cannot be normalized at all.
         """
         clear_memos()  # else the memo keeps the sums of the true data
         true_data = ring._contraction_data
@@ -297,20 +300,57 @@ class TestSuiteOrdinary:
         @lru_cache(maxsize=None)
         def doubled(m):
             keys, index, nums, h2, denoms, by_length, memo = true_data(m)
-            if m == 1:
+            if m == degree:
                 h2, memo = (2 * h2[0],) + h2[1:], {}
             return keys, index, nums, h2, denoms, by_length, memo
 
         monkeypatch.setattr(ring, "_contraction_data", doubled)
         try:
-            every = range(2)
-            table = list(ring.product_table("b2", 1, every, every))
+            every = range(len(operator_keys(degree)))
+            table = list(ring.product_table("b2", degree, every, every))
+            results = {r.name: r.ok for r in verify.suite_ordinary(3)}
+            status = cli.main(["verify", "--suite", "ordinary", "--max-n", "3", "--cache-dir", str(tmp_path)])
+        finally:
+            monkeypatch.undo()
+            clear_memos()
+        assert table != product_table_by_pairs("b2", degree, every, every)
+        assert not results["unit exists with u_n = n!, n <= 3"]
+        assert status == 1
+        assert "FAIL unit exists with u_n = n!, n <= 3: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "shift, failing",
+        [
+            # at these degrees every sum with l(a) + l(b) + l(c) + n odd
+            # vanishes, so this mutant's cup product is zero and only the
+            # unit check can see it
+            (1, ["unit exists with u_n = n!, n <= 3"]),
+            (2, ["unit exists with u_n = n!, n <= 3", "degree additivity and Betti-zero vanishing, n <= 3"]),
+        ],
+        ids=["by_one", "by_two"],
+    )
+    def test_shifted_length_rule_is_caught(self, monkeypatch, shift, failing):
+        """The cup product's rule moved to l(c) = l(a) + l(b) - n + shift.
+
+        The unit cannot be normalized, and the checks fail by name
+        instead of raising.
+        """
+        clear_memos()
+        true_data = ring._contraction_data
+
+        @lru_cache(maxsize=None)
+        def shifted(m):
+            keys, index, nums, h2, denoms, by_length, _ = true_data(m)
+            by_length = {ell - shift: cs for ell, cs in by_length.items()}
+            return keys, index, nums, h2, denoms, by_length, {}
+
+        monkeypatch.setattr(ring, "_contraction_data", shifted)
+        try:
             results = {r.name: r.ok for r in verify.suite_ordinary(3)}
         finally:
             monkeypatch.undo()
             clear_memos()
-        assert table != product_table_by_pairs("b2", 1, every, every)
-        assert not results["unit exists with u_n = n!, n <= 3"]
+        assert not any(results[name] for name in failing)
 
 
 PARTITIONS = st.lists(st.integers(1, 3), max_size=4).map(Partition)
