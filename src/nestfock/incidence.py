@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .partitions import (
@@ -34,71 +35,51 @@ from .partitions import (
 )
 
 
-class IncidencePair:
+class IncidencePair(tuple):
     """Pair (lam, mu) with mu equal to lam plus one addable corner.
 
-    ``value`` is the distinguished value: the column of the added
-    corner, equivalently the size of the part of lam that mu
-    increments (0 when mu appends a new part 1).
+    A validated tuple (lam, mu): construction checks that mu covers lam
+    and keeps the added corner as ``added_cell``, and iteration,
+    length, indexing, equality and hashing are the tuple's, so a pair
+    equals the plain tuple (lam, mu).  ``value`` is the distinguished
+    value: the column of the added corner, equivalently the size of the
+    part of lam that mu increments (0 when mu appends a new part 1).
     """
 
-    __slots__ = ("_lam", "_mu", "_cell", "_hash")
+    lam = property(itemgetter(0))
+    mu = property(itemgetter(1))
 
-    def __init__(self, lam: Partition, mu: Partition) -> None:
+    def __new__(cls, lam: Partition, mu: Partition) -> "IncidencePair":
         if mu.size != lam.size + 1:
             raise ValueError(f"sizes {lam.size}, {mu.size} are not consecutive")
-        cell, rows = None, lam.parts
-        for r, m in enumerate(mu.parts):
-            lp = rows[r] if r < len(rows) else 0
+        cell = None
+        for r, m in enumerate(mu):
+            lp = lam[r] if r < len(lam) else 0
             if m == lp + 1 and cell is None:
                 cell = Cell(r, lp)
             elif m != lp:
                 raise ValueError(f"{mu} does not cover {lam}")
-        if cell is None:
-            raise ValueError(f"{mu} does not cover {lam}")
-        object.__setattr__(self, "_lam", lam)
-        object.__setattr__(self, "_mu", mu)
-        object.__setattr__(self, "_cell", cell)
-        object.__setattr__(self, "_hash", hash((lam, mu)))
+        # with consecutive sizes some row of mu grows, so cell is set here
+        self = super().__new__(cls, (lam, mu))
+        object.__setattr__(self, "added_cell", cell)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("IncidencePair is immutable")
 
     @property
-    def lam(self) -> Partition:
-        return self._lam
-
-    @property
-    def mu(self) -> Partition:
-        return self._mu
-
-    @property
     def n(self) -> int:
-        return self._lam.size
-
-    @property
-    def added_cell(self) -> Cell:
-        return self._cell
+        return self.lam.size
 
     @property
     def value(self) -> int:
-        return self._cell.col
+        return self.added_cell.col
 
     def as_json_obj(self) -> dict:
-        return {"lambda": self._lam.as_list(), "mu": self._mu.as_list()}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IncidencePair)
-            and self._lam == other._lam
-            and self._mu == other._mu
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+        return {"lambda": self.lam.as_list(), "mu": self.mu.as_list()}
 
     def __repr__(self) -> str:
-        return f"IncidencePair({list(self._lam)}, {list(self._mu)})"
+        return f"IncidencePair({list(self.lam)}, {list(self.mu)})"
 
 
 class MarkedCells(NamedTuple):

@@ -22,84 +22,67 @@ class Cell(NamedTuple):
     col: int
 
 
-class Partition:
+class Partition(tuple):
     """Weakly decreasing sequence of positive integers (possibly empty).
 
-    Instances are immutable, hashable and canonical: parts are stored
-    sorted in descending order and zero parts are rejected.
+    A validated tuple of the parts: construction sorts them in
+    descending order and rejects parts below 1, and iteration, length,
+    indexing, equality and hashing are the tuple's, so a partition
+    equals the plain tuple of its parts.  ``cell in lam`` tests whether
+    a cell lies in the diagram; ``lam.parts`` is the plain tuple, for
+    part membership.
     """
 
-    __slots__ = ("_parts", "_hash")
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()) -> None:
+    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         ps = tuple(map(int, parts))
         if ps and min(ps) < 1:
             raise ValueError(f"parts must be positive integers, got {ps}")
-        ps = tuple(sorted(ps, reverse=True))
-        object.__setattr__(self, "_parts", ps)
-        object.__setattr__(self, "_hash", hash(ps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+        return super().__new__(cls, sorted(ps, reverse=True))
 
     @property
     def parts(self) -> tuple[int, ...]:
-        return self._parts
+        return tuple(self)
 
     @property
     def size(self) -> int:
-        return sum(self._parts)
+        return sum(self)
 
     @property
     def length(self) -> int:
-        return len(self._parts)
+        return len(self)
 
-    def multiplicity(self, value: int) -> int:
-        return self._parts.count(value)
+    multiplicity = tuple.count
 
     def distinct_parts(self) -> tuple[int, ...]:
         """Distinct part values in descending order."""
-        return tuple(sorted(set(self._parts), reverse=True))
+        return tuple(sorted(set(self), reverse=True))
 
     @lru_cache(maxsize=None)
     def conjugate(self) -> "Partition":
-        if not self._parts:
+        if not self:
             return Partition()
-        cols = [0] * self._parts[0]
-        for p in self._parts:
+        cols = [0] * self[0]
+        for p in self:
             for c in range(p):
                 cols[c] += 1
         return Partition(cols)
 
     def cells(self) -> Iterator[Cell]:
-        for r, p in enumerate(self._parts):
+        for r, p in enumerate(self):
             for c in range(p):
                 yield Cell(r, c)
 
     def __contains__(self, cell) -> bool:
         r, c = cell
-        return 0 <= r < len(self._parts) and 0 <= c < self._parts[r]
+        return 0 <= r < len(self) and 0 <= c < self[r]
 
     def as_list(self) -> list[int]:
-        return list(self._parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __getitem__(self, index: int) -> int:
-        return self._parts[index]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return self._hash
+        return list(self)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self._parts)})"
+        return f"Partition({list(self)})"
 
 
 class Corner(NamedTuple):

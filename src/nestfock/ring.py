@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from .basis_change import _integer_rows, b1_in_b2, b2_in_b1, pair_keys
 from .fock import B2Key, FockVector, b2_degree, vector_degree
@@ -162,20 +162,23 @@ def star_hilb(v: FockVector, w: FockVector, n: int) -> FockVector:
     return _diagonal_star(v, w, n, lambda lam: lam.size, lambda lam: sign * hook_product(lam) ** 2)
 
 
-class OrdinaryClass:
-    """Ordinary cohomology class of the degree-n incidence Hilbert scheme."""
+class OrdinaryClass(tuple):
+    """Ordinary cohomology class of the degree-n incidence Hilbert scheme.
 
-    __slots__ = ("n", "vec")
+    A validated tuple (n, vec): construction checks that every key of
+    the operator-basis vector vec has degree n, and equality is the
+    tuple's, so a class equals the plain tuple (n, vec).
+    """
 
-    def __init__(self, n: int, vec: FockVector) -> None:
+    __slots__ = ()
+    n = property(itemgetter(0))
+    vec = property(itemgetter(1))
+
+    def __new__(cls, n: int, vec: FockVector) -> "OrdinaryClass":
         for k in vec.keys():
             if k.degree != n:
                 raise ValueError(f"key {k!r} has degree {k.degree}, expected {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vec", vec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrdinaryClass is immutable")
+        return super().__new__(cls, (n, vec))
 
     def ordinary_degrees(self) -> set[int]:
         return {2 * (self.n - k.nu.length) for k in self.vec.keys()}
@@ -189,13 +192,6 @@ class OrdinaryClass:
         return OrdinaryClass(self.n, self.vec * scalar)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OrdinaryClass)
-            and self.n == other.n
-            and self.vec == other.vec
-        )
 
     def __repr__(self) -> str:
         return f"OrdinaryClass({self.n}, {self.vec!r})"

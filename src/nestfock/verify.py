@@ -42,7 +42,6 @@ from .basis_change import (
 from .fock import (
     B2Key,
     FockVector,
-    b2_keys,
     loop_action,
     pair_b1,
     pair_hilb_fixed,
@@ -50,7 +49,6 @@ from .fock import (
 from .incidence import (
     betti_from_fixed_points,
     betti_series,
-    enumerate_incidence_pairs,
     euler_class,
     h_pair,
     h_plus,
@@ -132,7 +130,7 @@ def suite_euler(max_n: int = 8) -> list[CheckResult]:
     """Weight-multiset oracle against the closed Euler class formulas."""
     bad_full, bad_pos = [], []
     for n in range(max_n + 1):
-        for p in enumerate_incidence_pairs(n):
+        for p in pair_keys(n):
             weights = tangent_weights_incidence(p)
             prod = 1
             pos = 1
@@ -227,7 +225,7 @@ def suite_loop(max_n: int = 6) -> list[CheckResult]:
     are composed from the images by linearity and compared exactly.
     """
     ops = [(j, p) for j in range(3) for p in (-3, -2, -1, 1, 2, 3)]
-    keys = [k for d in range(max_n + 1) for k in b2_keys(d)]
+    keys = [k for d in range(max_n + 1) for k in operator_keys(d)]
     ids = {k: a for a, k in enumerate(keys)}  # grows by the keys the images reach
     images: list[list[tuple]] = [[] for _ in ops]
     for _ in range(2):  # the images of the keys, then of every key they reach
@@ -487,7 +485,9 @@ def suite_ordinary(max_n: int = 4) -> list[CheckResult]:
     ordered pair of basis classes.  The unit law, commutativity, degree
     additivity and Betti vanishing are read off it, and both sides of
     associativity on a basis triple are composed from its rows by
-    linearity.  A unit that cannot be normalized fails the unit check.
+    linearity.  A unit that cannot be normalized fails the unit check,
+    and a table with no nonzero product fails the degree check: the
+    unit squares to itself, so no degree's table is zero.
     """
 
     def compose(vec, row):  # sum over e of vec_e * row(e)
@@ -509,6 +509,8 @@ def suite_ordinary(max_n: int = 4) -> list[CheckResult]:
                 if compose(unit.vec, lambda e: cup[e, k]) != basis[k].vec:
                     bad_unit.append({"n": n, "key": k.as_json_obj()})
 
+        if not any(c.vec for c in cup.values()):
+            bad_degree.append({"n": n, "law": "no nonzero product"})
         betti = betti_from_fixed_points(n)
         for k in keys:
             for l in keys:
@@ -549,8 +551,8 @@ def suite_betti(max_n: int = 12) -> list[CheckResult]:
     bad = []
     for n in range(max_n + 1):
         counts = betti_from_fixed_points(n)
-        pairs = len(enumerate_incidence_pairs(n))
-        keys = len(b2_keys(n))
+        pairs = len(pair_keys(n))
+        keys = len(operator_keys(n))
         if series[n] != counts or sum(counts) != pairs or pairs != keys:
             bad.append(
                 {

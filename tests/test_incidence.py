@@ -30,10 +30,24 @@ class TestIncidencePair:
         p = pr([2, 1], [2, 2])
         assert p.n == 3 and p.value == 1 and p.added_cell == Cell(1, 1)
         assert pr([], [1]).value == 0
+        # a validated tuple: equal to and hashed as the plain tuple (lam, mu)
+        for n in range(5):
+            for q in enumerate_incidence_pairs(n):
+                plain = (q.lam, q.mu)
+                assert isinstance(q, tuple) and q == plain and hash(q) == hash(plain)
+                assert q[0] is q.lam and q[1] is q.mu and IncidencePair(*plain) == q
+        for name in ("lam", "mu", "added_cell", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, Cell(0, 0))
+        assert p.added_cell == Cell(1, 1)
 
     def test_invalid_pairs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sizes 2, 2 are not consecutive$"):
             pr([2], [2])
+        with pytest.raises(ValueError, match=r"^Partition\(\[1, 1, 1\]\) does not cover Partition\(\[2\]\)$"):
+            pr([2], [1, 1, 1])
+        with pytest.raises(ValueError, match=r"^Partition\(\[3\]\) does not cover Partition\(\[1, 1\]\)$"):
+            pr([1, 1], [3])
         with pytest.raises(ValueError):
             pr([2], [4])
         with pytest.raises(ValueError):

@@ -41,12 +41,15 @@ partitions_st = st.lists(st.integers(1, 9), max_size=8).map(Partition)
 
 class TestPartitionType:
     def test_canonical_sorting(self):
-        assert P([1, 3, 2]).parts == (3, 2, 1)
+        lam = P([1, 3, 2])
+        assert lam.parts == (3, 2, 1) and type(lam.parts) is tuple
+        # .parts tests part membership; ``in lam`` tests cell membership
+        assert 2 in P([2, 1]).parts and 3 not in P([2, 1]).parts
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^parts must be positive integers, got \(2, 0\)$"):
             P([2, 0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^parts must be positive integers, got \(-1,\)$"):
             P([-1])
 
     def test_size_length(self):
@@ -55,14 +58,16 @@ class TestPartitionType:
 
     def test_immutable_and_hashable(self):
         lam = P([2, 1])
-        with pytest.raises(AttributeError):
-            lam.parts = (3,)
+        for name in ("parts", "size", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(lam, name, (3,))
         assert hash(lam) == hash(P([1, 2]))
 
     def test_cells_and_contains(self):
         lam = P([2, 1])
         assert set(lam.cells()) == {Cell(0, 0), Cell(0, 1), Cell(1, 0)}
-        assert Cell(1, 1) not in lam
+        assert Cell(0, 1) in lam and Cell(1, 0) in lam
+        assert Cell(1, 1) not in lam and Cell(0, 2) not in lam
 
     @given(partitions_st)
     @settings(max_examples=200)
@@ -92,8 +97,10 @@ class TestPartitionType:
     @given(st.lists(st.integers(1, 9), max_size=8))
     @settings(max_examples=200)
     def test_hash_is_that_of_the_sorted_parts(self, parts):
-        lam = P(parts)
-        assert hash(lam) == hash(P(sorted(parts, reverse=True))) == hash(lam.parts)
+        lam, plain = P(parts), tuple(sorted(parts, reverse=True))
+        assert hash(lam) == hash(P(plain)) == hash(lam.parts) == hash(plain)
+        # a validated tuple: equal to the plain tuple of its sorted parts
+        assert isinstance(lam, tuple) and lam == plain and list(lam) == list(plain)
 
 
 class TestEnumeration:

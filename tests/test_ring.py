@@ -185,8 +185,16 @@ class TestProductTable:
 
 class TestOrdinaryClass:
     def test_degree_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^key B2Key\(i=0, nu=Partition\(\[1\]\)\) has degree 1, expected 2$"):
             OrdinaryClass(2, U(key(0, [1])))
+        # a validated tuple: equal to the plain tuple (n, vec), and immutable
+        vec = U(key(0, [1, 1])) + U(key(2, []))
+        cls = OrdinaryClass(2, vec)
+        assert isinstance(cls, tuple) and cls == (2, vec) and cls.n == 2 and cls.vec is vec
+        assert cls != OrdinaryClass(2, 2 * vec)
+        for name in ("n", "vec", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(cls, name, 0)
 
     def test_ordinary_degrees(self):
         cls = OrdinaryClass(2, U(key(0, [1, 1])) + U(key(2, [])))

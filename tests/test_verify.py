@@ -322,9 +322,9 @@ class TestSuiteOrdinary:
         "shift, failing",
         [
             # at these degrees every sum with l(a) + l(b) + l(c) + n odd
-            # vanishes, so this mutant's cup product is zero and only the
-            # unit check can see it
-            (1, ["unit exists with u_n = n!, n <= 3"]),
+            # vanishes, so this mutant's cup product is zero: the unit
+            # check and the check for a table with no nonzero product see it
+            (1, ["unit exists with u_n = n!, n <= 3", "degree additivity and Betti-zero vanishing, n <= 3"]),
             (2, ["unit exists with u_n = n!, n <= 3", "degree additivity and Betti-zero vanishing, n <= 3"]),
         ],
         ids=["by_one", "by_two"],
