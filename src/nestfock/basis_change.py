@@ -8,25 +8,25 @@ deterministically:
 * b3 - curve basis, keys = incidence pairs in enumeration order.
 
 The curve basis in the operator basis, A, is a double induction on
-size and length.  The operator basis in the fixed-point basis, B, is
-closed-form: its rows (0, nu) come from the character table, and each
-other row translates a row of degree n - 1, translation being local in
-fixed-point coordinates (a checked identity).  Every other route is a
-product that skips zeros, the forward substitution A^-1 or the
-transpose rescaled by the pairing-transport law B H B^T = Z:
-M = A B, C = B^-1 = H B^T Z^-1 and M^-1 = C A^-1.  All arithmetic is
-exact, and the kernels on these routes run in Python integers: the
-products, the forward substitution and the curve recursion scale their
-rows to integers over a common denominator (``_integer_rows``), sum in
-integers and build one Fraction per nonzero output entry.  The Gram
-solve of A Z A^T = M H M^T, the Gauss-Jordan ``mat_inv`` and the dense
-``mat_mul`` stay only as oracles for verify and the tests.
+size and length.  The operator basis in the fixed-point basis, B, and in
+the curve basis, A^-1, are closed-form from the words (i, nu) = t^i a_-nu
+on the vacuum: the rows (0, nu) come from the character table and the
+curve-basis creation operator, and each other row translates a row of
+degree n - 1, translation being local in fixed-point coordinates (a
+checked identity) and a relabelling of curve keys.  Every other route is
+a product ``@`` or the transpose rescaled by the pairing-transport law
+B H B^T = Z: M = A B, C = B^-1 = H B^T Z^-1 and M^-1 = C A^-1.  All
+arithmetic is exact: ``@``, ``apply``, A^-1 and the forward substitution
+sum in integers in one loop, ``_combine``, and build one Fraction per
+nonzero output entry.  The Gram solve of A Z A^T = M H M^T, the
+Gauss-Jordan ``mat_inv`` and the dense ``mat_mul`` stay only as oracles
+for verify and the tests.
 
 The Hilbert side needs no solve: the fixed class of lam is h(lam) s_lam,
 so the fixed classes in the creation basis (F) come from the character
 table, F^-1 is the rescaled transpose, and the curve classes in the
 fixed classes are L F^-1.  Both sides run through the same helpers:
-``_expansion_matrix`` (curve classes, row by row), ``_sparse_mul``,
+``_expansion_matrix`` (curve classes, row by row), ``@``,
 ``_transport_inverse`` (the rescaled transpose) and ``_conjugated`` (an
 operator carried into fixed-point coordinates, built once per index and
 degree as a matrix).
@@ -50,8 +50,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from pathlib import Path
 
-from .curve_classes import create_b3, nakajima_L, translate_b3_pow
+from .curve_classes import create_b3, nakajima_L, translate_b3_linear, translate_b3_pow
 from .fock import (
+    _ONE,
     _ZERO,
     B2Key,
     FockVector,
@@ -189,14 +190,27 @@ class TransitionMatrix:
                 (row,), d = _integer_rows((self.rows[self._index[key]],))
                 self._ints[key] = ([(j, x) for j, x in enumerate(row) if x], d)
             terms.append((c, self._ints[key]))
-        den = lcm(*(c.denominator * d for c, (_, d) in terms))
-        acc = [0] * len(self.col_keys)
-        for c, (nonzero, d) in terms:
-            f = c.numerator * (den // (c.denominator * d))
-            for j, x in nonzero:
-                acc[j] += f * x
+        acc, den = _combine(terms, len(self.col_keys))
         cols = self.col_keys
         return FockVector._wrap({cols[j]: Fraction(x, den) for j, x in enumerate(acc) if x})
+
+    def __matmul__(self, other: "TransitionMatrix") -> "TransitionMatrix":
+        """The product, from self's source to other's target; self's columns must be other's rows.
+
+        other is scaled to integers once per call, and each row of the
+        product is one ``_combine`` of other's rows.
+        """
+        if self.col_keys != other.row_keys:
+            raise ValueError("the column keys of the left factor are not the row keys of the right")
+        ints, d = _integer_rows(other.rows)
+        right = [([(j, x) for j, x in enumerate(row) if x], d) for row in ints]
+        rows = []
+        for row in self.rows:
+            acc, den = _combine([(c, right[k]) for k, c in enumerate(row) if c], len(other.col_keys))
+            rows.append([Fraction(x, den) if x else _ZERO for x in acc])
+        return TransitionMatrix(
+            self.source, other.target, self.degree, self.row_keys, other.col_keys, rows
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -417,27 +431,8 @@ def b3_in_b2_matrix(n: int) -> TransitionMatrix:
 
 
 def _gram(a: TransitionMatrix, weight) -> tuple[tuple[Fraction, ...], ...]:
-    """G = A W A^T with W = diag(weight) over the column keys of A.
-
-    A and the weights are scaled to integers, the sums run over the
-    nonzero entries of A, one column at a time, and each entry of G is
-    one Fraction.
-    """
-    ints, d_a = _integer_rows(a.rows)
-    (ws,), d_w = _integer_rows(([weight(k) for k in a.col_keys],))
-    g = [[0] * len(ints) for _ in ints]
-    for j, w in enumerate(ws):
-        column = [(r, row[j]) for r, row in enumerate(ints) if row[j]]
-        for i, (r, x) in enumerate(column):
-            xw = x * w
-            for s, y in column[i:]:
-                g[r][s] += xw * y
-    den = d_a * d_a * d_w
-    out = []
-    for r, row in enumerate(g):
-        upper = [Fraction(x, den) if x else _ZERO for x in row[r:]]
-        out.append([out[s][r] for s in range(r)] + upper)
-    return tuple(map(tuple, out))
+    """G = A W A^T with W = diag(weight) over the column keys of A, as A @ (W A^T)."""
+    return (a @ _transport_inverse(a, lambda k: 1, weight)).rows
 
 
 @lru_cache(maxsize=None)
@@ -494,6 +489,21 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
+def _combine(terms, width: int) -> tuple[list[int], int]:
+    """Sum of c * N / d over terms (c, (nonzero (column, integer) pairs of N, d)).
+
+    The sum comes back as integers over one denominator; c is a Fraction
+    or an int, and every product and sum runs in integers.
+    """
+    den = lcm(*{c.denominator * d for c, (_, d) in terms})
+    acc = [0] * width
+    for c, (nonzero, d) in terms:
+        f = c.numerator * (den // (c.denominator * d))
+        for j, x in nonzero:
+            acc[j] += f * x
+    return acc, den
+
+
 def forward_solve(lower, rhs, order):
     """Rows X with lower * X = rhs, by forward substitution.
 
@@ -508,24 +518,14 @@ def forward_solve(lower, rhs, order):
     x = [None] * len(order)
     solved = [None] * len(order)  # (nonzero (column, numerator) pairs, denominator of either sign)
     for rank, i in enumerate(order):
-        (row,), d_row = _integer_rows((lower[i],))
+        row = lower[i]
         if not row[i] or any(row[j] for j in order[rank + 1:]):
             raise ArithmeticError("matrix is not triangular along the given order")
-        (acc,), d_rhs = _integer_rows((rhs[i],))
-        terms = [(row[j], solved[j]) for j in order[:rank] if row[j]]
-        # rhs - sum_j lower_ij X_j over the denominator den: the sum's
-        # terms share q = lcm of their rows' denominators
-        q = lcm(*(d for _, (_, d) in terms))
-        den = lcm(d_rhs, d_row * q)
-        f = den // d_rhs
-        acc = [a * f for a in acc]
-        for c, (nonzero, d) in terms:
-            c *= den // (d_row * d)
-            for col, v in nonzero:
-                acc[col] -= c * v
-        # divide by the pivot row[i] / d_row, then reduce
-        den *= row[i]
-        acc = [a * d_row for a in acc]
+        # rhs_i - sum_j lower_ij X_j, divided by the pivot lower_ii, then reduced
+        (b,), d = _integer_rows((rhs[i],))
+        terms = [(-row[j], solved[j]) for j in order[:rank] if row[j]]
+        acc, den = _combine([(_ONE, ([(j, v) for j, v in enumerate(b) if v], d)), *terms], len(b))
+        acc, den = [a * row[i].denominator for a in acc], den * row[i].numerator
         g = gcd(den, *acc)
         den //= g
         acc = [a // g for a in acc]
@@ -534,59 +534,32 @@ def forward_solve(lower, rhs, order):
     return x
 
 
-def _sparse_mul(a, b):
-    """Product a * b of row lists of Fractions, skipping zero entries of both.
-
-    b is scaled to integers over one common denominator and each row of a
-    over its own, so the sums run in integers; each nonzero entry of the
-    product is one Fraction.
-    """
-    width = len(b[0]) if b else 0
-    nb, d_b = _integer_rows(b)
-    b_nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in nb]
-    out = []
-    for ra in a:
-        (na,), d_a = _integer_rows((ra,))
-        acc = [0] * width
-        for k, c in enumerate(na):
-            if c:
-                for j, v in b_nonzero[k]:
-                    acc[j] += c * v
-        den = d_a * d_b
-        out.append([Fraction(v, den) if v else _ZERO for v in acc])
-    return out
-
-
-def _operator_label(pair: IncidencePair) -> B2Key:
-    """Operator-basis key that labels the curve class of a pair.
-
-    mu raises one part of lam of value v (v = 0 when it appends a part
-    1); the label is (v, lam with that part removed), or (0, lam) for
-    v = 0.  This is a bijection onto the operator keys of the degree,
-    and the expansion of each curve class involves only labels of pairs
-    at or before it in enumeration order; forward_solve checks that on
-    every use.
-    """
-    v = pair.value
-    return B2Key(v, remove_part(pair.lam, v) if v else pair.lam)
-
-
 @lru_cache(maxsize=None)
 def b2_in_b3(n: int) -> TransitionMatrix:
-    """Operator basis in the curve basis: A^-1 by forward substitution.
+    """Operator basis in the curve basis, A^-1, in closed form from the words t^i a_-nu.
 
-    With its columns relabelled by _operator_label, A = b3_in_b2 is
-    lower triangular along the enumeration order of the pairs.
+    On curve keys t is translate_b3 and a_-m is create_b3(m, -), both with
+    integer coefficients: row (i, nu) with i > 0 is t of row (i - 1, nu) of
+    degree n - 1, row (0, nu) is a_-m of row (0, nu - m) of degree n - m, m
+    the smallest part of nu, and row (0, empty) is the vacuum pair (empty, (1)).
+    Each operator is tabulated once on the pairs it acts on.
     """
-    a = b3_in_b2_matrix(n)
-    col = {k: j for j, k in enumerate(a.col_keys)}
-    label = [col[_operator_label(p)] for p in a.row_keys]
-    lower = [[row[j] for j in label] for row in a.rows]
-    solved = forward_solve(lower, identity_rows(len(label)), list(range(len(label))))
-    rows = [None] * len(label)
-    for r, j in enumerate(label):
-        rows[j] = solved[r]
-    return TransitionMatrix("b2", "b3", n, a.col_keys, a.row_keys, rows)
+    if not n:
+        return TransitionMatrix("b2", "b3", 0, operator_keys(0), pair_keys(0), [[_ONE]])
+    cols = {p: j for j, p in enumerate(pair_keys(n))}
+    tables = {}  # m -> (column, coefficient) pairs of each image under a_-m, or t for m = 0
+    rows = []
+    for i, nu in operator_keys(n):
+        m = 0 if i else nu[-1]
+        below = b2_in_b3(n - max(m, 1))
+        if m not in tables:
+            units = map(FockVector.unit, below.col_keys)
+            images = (create_b3(m, u) if m else translate_b3_linear(u) for u in units)
+            tables[m] = [([(cols[q], int(c)) for q, c in v.items()], 1) for v in images]
+        word = below.rows[below._index[B2Key(i - 1, nu) if i else B2Key(0, remove_part(nu, m))]]
+        acc, den = _combine([(x, tables[m][j]) for j, x in enumerate(word) if x], len(cols))
+        rows.append([Fraction(x, den) if x else _ZERO for x in acc])
+    return TransitionMatrix("b2", "b3", n, operator_keys(n), pair_keys(n), rows)
 
 
 @lru_cache(maxsize=None)
@@ -619,7 +592,7 @@ def b2_in_b1(n: int) -> TransitionMatrix:
     h(lam) chi^lam(nu) / h(lam, mu) at [lam, mu].
     """
     pairs = pair_keys(n)
-    rows = _sparse_mul(b2_in_b1(n - 1).rows, _translation(n - 1).rows) if n else []
+    rows = list((b2_in_b1(n - 1) @ _translation(n - 1)).rows) if n else []
     scale = [(p.lam, hook_product(p.lam), h_pair(p)) for p in pairs]
     for nu in partition_keys(n):
         rows.append([Fraction(hk * character(lam, nu), h) for lam, hk, h in scale])
@@ -629,8 +602,7 @@ def b2_in_b1(n: int) -> TransitionMatrix:
 @lru_cache(maxsize=None)
 def b3_in_b1(n: int) -> TransitionMatrix:
     """Curve basis in the fixed-point basis: M = A B, skipping zeros."""
-    a, b = b3_in_b2_matrix(n), b2_in_b1(n)
-    return TransitionMatrix("b3", "b1", n, a.row_keys, b.col_keys, _sparse_mul(a.rows, b.rows))
+    return b3_in_b2_matrix(n) @ b2_in_b1(n)
 
 
 def _transport_inverse(x: TransitionMatrix, row_weight, col_weight) -> TransitionMatrix:
@@ -641,9 +613,10 @@ def _transport_inverse(x: TransitionMatrix, row_weight, col_weight) -> Transitio
     transpose the inverse.
     """
     r = [row_weight(k) for k in x.row_keys]
+    cols = zip(*x.rows) if x.rows else [()] * len(x.col_keys)
     rows = [
         [Fraction(c * e.numerator, e.denominator * rj) if e else _ZERO for e, rj in zip(col, r)]
-        for c, col in zip(map(col_weight, x.col_keys), zip(*x.rows))
+        for c, col in zip(map(col_weight, x.col_keys), cols)
     ]
     return TransitionMatrix(x.target, x.source, x.degree, x.col_keys, x.row_keys, rows)
 
@@ -662,9 +635,7 @@ def b1_in_b2(n: int) -> TransitionMatrix:
 @lru_cache(maxsize=None)
 def b1_in_b3(n: int) -> TransitionMatrix:
     """Fixed-point basis in the curve basis: M^-1 = C A^-1, skipping zeros."""
-    c, a_inv = b1_in_b2(n), b2_in_b3(n)
-    rows = _sparse_mul(c.rows, a_inv.rows)
-    return TransitionMatrix("b1", "b3", n, c.row_keys, a_inv.col_keys, rows)
+    return b1_in_b2(n) @ b2_in_b3(n)
 
 
 def transition_matrix(source: str, target: str, n: int) -> TransitionMatrix:
@@ -806,9 +777,7 @@ def hilb_L_in_fixed(n: int) -> TransitionMatrix:
     Triangular along dominance with diagonal 1/hook_product (checked by
     ``verify.suite_phi``).
     """
-    keys = partition_keys(n)
-    rows = _sparse_mul(hilb_L_in_p_matrix(n).rows, hilb_p_in_fixed(n).rows)
-    return TransitionMatrix("hilb_L", "hilb_fixed", n, keys, keys, rows)
+    return hilb_L_in_p_matrix(n) @ hilb_p_in_fixed(n)
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,18 @@ VACUUM = B2Key(0, Partition())
 _ZERO, _ONE = Fraction(0), Fraction(1)  # shared by absent keys and unit vectors; immutable
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction if it is an int or a Fraction; TypeError otherwise."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(f"coefficient must be an int or a Fraction, not {type(x).__name__}")
+
+
 class FockVector:
     """Finite linear combination of hashable keys with Fraction coefficients.
 
-    Zero coefficients are never stored.  Instances behave as immutable
-    values; all arithmetic returns new vectors.
+    Coefficients are ints or Fractions; zeros are never stored.  Instances
+    behave as immutable values; all arithmetic returns new vectors.
     """
 
     __slots__ = ("_terms",)
@@ -57,7 +64,7 @@ class FockVector:
         data: dict = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for key, coeff in items:
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else _exact(coeff)
             if key in data:
                 c += data[key]
             if c:
@@ -123,7 +130,7 @@ class FockVector:
         return FockVector._wrap({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, scalar) -> "FockVector":
-        s = Fraction(scalar)
+        s = _exact(scalar)
         if not s:
             return FockVector()
         return FockVector._wrap({k: c * s for k, c in self._terms.items()})

@@ -99,9 +99,6 @@ class Corner(NamedTuple):
     q: Optional[int]
 
 
-EMPTY = Partition()
-
-
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse-lexicographic order, (n) first."""
     if n < 0:
@@ -118,9 +115,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
             rec(remaining - p, p, prefix)
             prefix.pop()
 
-    rec(n, n if n else 1, [])
-    if n == 0:
-        return [EMPTY]
+    rec(n, n, [])
     return out
 
 

@@ -17,16 +17,18 @@ from math import factorial
 from typing import Callable, NamedTuple
 
 from .basis_change import (
+    TransitionMatrix,
     _gram,
-    _sparse_mul,
     b1_annihilation,
     b1_cotranslate,
     b1_creation,
     b1_in_b2,
     b1_translate,
     b2_in_b1,
+    b2_in_b3,
     b3_in_b1,
     b3_in_b2,
+    b3_in_b2_matrix,
     fixed_annihilation,
     fixed_creation,
     gram_b3,
@@ -35,9 +37,9 @@ from .basis_change import (
     hilb_L_in_p,
     hilb_L_in_p_matrix,
     hilb_p_in_fixed,
-    identity_rows,
     operator_keys,
     pair_keys,
+    transition_matrix,
 )
 from .fock import (
     B2Key,
@@ -293,11 +295,11 @@ def suite_pairing(max_n: int = 8) -> list[CheckResult]:
 
 def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
     """Round trips, the shape of M = b3_in_b1 and choice independence of A."""
-    bad = []
-    for n in range(max_n + 1):
-        prod = _sparse_mul(b1_in_b2(n).rows, b2_in_b1(n).rows)
-        if prod != identity_rows(len(prod)):
-            bad.append({"degree": n})
+    bad = [
+        {"degree": n}
+        for n in range(max_n + 1)
+        if b1_in_b2(n) @ b2_in_b1(n) != transition_matrix("b1", "b1", n)
+    ]
     out = [_result(f"b1_in_b2 * b2_in_b1 = Id, n <= {max_n}", bad)]
 
     # with A Z A^T = M H M^T below this pins M: G has one LDL^T along dominance
@@ -330,6 +332,13 @@ def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
             if b3_in_b2(p) != b3_in_b2(p, smallest_shared=True):
                 bad.append({"pair": p.as_json_obj()})
     out.append(_result(f"shared-part choice independence, n <= {min(max_n, 6)}", bad))
+
+    bad = [
+        {"degree": n}
+        for n in range(max_n + 1)
+        if b2_in_b3(n) @ b3_in_b2_matrix(n) != transition_matrix("b2", "b2", n)
+    ]
+    out.append(_result(f"b2_in_b3 * b3_in_b2 = Id, n <= {max_n}", bad))
     return out
 
 
@@ -356,8 +365,8 @@ def suite_phi(max_n: int = 9) -> list[CheckResult]:
     limit = min(max_n, 8)
     for n in range(limit + 1):
         mat = hilb_fixed_in_p(n)
-        in_m = _sparse_mul(mat.rows, _p_to_m_rows(n))
-        for lam, row in zip(mat.row_keys, in_m):
+        in_m = mat @ TransitionMatrix("hilb_p", "m", n, mat.col_keys, mat.col_keys, _p_to_m_rows(n))
+        for lam, row in zip(mat.row_keys, in_m.rows):
             img = phi(mat.expand(lam))
             if hall_pairing(img, img) != hook_product(lam) ** 2:
                 bad.append({"lambda": lam.as_list(), "check": "norm"})
@@ -373,7 +382,7 @@ def suite_phi(max_n: int = 9) -> list[CheckResult]:
     bad = []
     for n in range(limit + 1):
         mat, curves = hilb_L_in_fixed(n), hilb_L_in_p_matrix(n)
-        if _sparse_mul(mat.rows, hilb_fixed_in_p(n).rows) != [list(r) for r in curves.rows]:
+        if mat @ hilb_fixed_in_p(n) != curves:
             bad.append({"degree": n, "check": "X F = L"})
         for a, lam in enumerate(mat.row_keys):
             for b, mu in enumerate(mat.col_keys):

@@ -19,7 +19,6 @@ from nestfock.basis_change import (
     _gram,
     _gram_solve,
     _operator_matrix,
-    _sparse_mul,
     b1_annihilation,
     b1_cotranslate,
     b1_creation,
@@ -311,17 +310,34 @@ class TestIntegerKernels:
 
     @given(data=st.data(), shape=st.tuples(*[st.integers(0, 5)] * 3))
     @settings(max_examples=100, deadline=None)
-    def test_sparse_mul_matches_mat_mul(self, data, shape):
+    def test_matmul_matches_mat_mul(self, data, shape):
         r, k, c = shape
-        a = data.draw(matrices(r, k))
-        b = data.draw(matrices(k, c)) if k else []
-        product = _sparse_mul(a, b)
-        # mat_mul cannot read the width of an empty b: every row is empty then
-        assert product == (mat_mul(a, b) if k else [[] for _ in a])
-        assert only_fractions(product)
+        a = TransitionMatrix("x", "y", 0, range(r), range(k), data.draw(matrices(r, k)))
+        b = TransitionMatrix("y", "z", 0, range(k), range(c), data.draw(matrices(k, c)))
+        product = a @ b
+        # mat_mul cannot read the width of an empty b: the product is zero then
+        want = mat_mul(rows_of(a), rows_of(b)) if k else [[Fraction(0)] * c for _ in range(r)]
+        assert rows_of(product) == want
+        assert only_fractions(product.rows)
 
-    def test_sparse_mul_of_empty_matrices(self):
-        assert _sparse_mul([], []) == []
+    def test_matmul_of_empty_matrices(self):
+        empty = TransitionMatrix("x", "x", 0, [], [], [])
+        assert (empty @ empty).rows == ()
+
+    def test_matmul_keeps_tags_and_keys(self):
+        a, b = b3_in_b2_matrix(3), b2_in_b1(3)
+        product = a @ b
+        assert (product.source, product.target, product.degree) == ("b3", "b1", 3)
+        assert (product.row_keys, product.col_keys) == (a.row_keys, b.col_keys)
+        assert product == b3_in_b1(3)
+
+    def test_matmul_rejects_mismatched_inner_keys(self):
+        with pytest.raises(ValueError):
+            b2_in_b1(2) @ b2_in_b1(2)
+        a = TransitionMatrix("x", "y", 0, ["p", "q"], ["s", "t"], identity_rows(2))
+        b = TransitionMatrix("y", "z", 0, ["t", "s"], ["u"], [[Fraction(1)], [Fraction(2)]])
+        with pytest.raises(ValueError):
+            a @ b
 
     @given(system=triangular_systems())
     @settings(max_examples=100, deadline=None)
@@ -408,18 +424,13 @@ class TestGramRouteOracle:
         assert rows_of(b2_in_b1(n)) == mat_mul(mat_inv(rows_of(b3_in_b2_matrix(n))), m)
 
     def test_no_route_reaches_the_gram_solve(self, monkeypatch):
-        """All six routes and the products build with the Gram route disabled."""
+        """All six routes and the products build with the Gram route and forward_solve disabled."""
 
         def refuse(*args):
-            raise AssertionError("the Gram route was reached")
+            raise AssertionError("the Gram route or a triangular solve was reached")
 
-        def enumeration_order_only(lower, rhs, order):
-            assert order == list(range(len(order))), "a dominance-order solve was reached"
-            return forward_solve(lower, rhs, order)
-
-        for name in ("_gram_solve", "gram_b3", "_gram"):
+        for name in ("_gram_solve", "gram_b3", "_gram", "forward_solve"):
             monkeypatch.setattr(basis_change, name, refuse)
-        monkeypatch.setattr(basis_change, "forward_solve", enumeration_order_only)
         clear_memos()
         try:
             for n in range(7):

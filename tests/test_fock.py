@@ -47,6 +47,16 @@ class TestFockVector:
         assert (v * Fraction(1, 2))[key(0, [1])] == 1
         assert -v + v == FockVector()
 
+    @pytest.mark.parametrize("inexact", [0.1, "1/3", 1.0, None])
+    def test_only_ints_and_fractions_are_coefficients(self, inexact):
+        with pytest.raises(TypeError):
+            FockVector([(key(0, []), inexact)])
+        with pytest.raises(TypeError):
+            U(key(0, [])) * inexact
+        with pytest.raises(TypeError):
+            inexact * U(key(0, []))
+        assert FockVector([(key(0, []), 3)]) * Fraction(1, 3) == U(key(0, []))
+
     def test_immutable(self):
         v = U(key(0, []))
         with pytest.raises(AttributeError):

@@ -15,6 +15,7 @@ from nestfock.basis_change import (
     _translation,
     b1_annihilation,
     b2_in_b1,
+    b2_in_b3,
     b3_in_b1,
     gram_b3,
     hilb_fixed_in_p,
@@ -84,6 +85,7 @@ CHECK_NAMES = {
         "b3_in_b1 triangular for product dominance, diagonal 1/h_plus, n <= 2",
         "gram consistency A Z A^T = M H M^T, n <= 2",
         "shared-part choice independence, n <= 2",
+        "b2_in_b3 * b3_in_b2 = Id, n <= 2",
     ],
     "phi": [
         "curve classes map to monomial functions, |lam| <= 2",
@@ -195,7 +197,7 @@ class TestTranslationRule:
                 monkeypatch.setattr(basis_change, "_translation", fake)
                 clear_memos()
                 results = verify.suite_pairing(degree) + verify.suite_roundtrip(degree)
-                assert [r.ok for r in results] == [False, False, False, False, True], (a, j)
+                assert [r.ok for r in results] == [False, False, False, False, True, True], (a, j)
                 for r in results[:4]:
                     assert {f["degree"] for f in json.loads(r.detail)} == {degree}
         finally:
@@ -216,7 +218,7 @@ class TestSuiteRoundtrip:
         assert all(lhs[a][a] == rhs[a][a] for a in range(len(rows)))
         monkeypatch.setattr(verify, "b3_in_b1", lambda m: flipped if m == n else b3_in_b1(m))
         results = verify.suite_roundtrip(n)
-        assert [r.ok for r in results] == [True, True, False, True]
+        assert [r.ok for r in results] == [True, True, False, True, True]
         assert results[2].name.startswith("gram consistency A Z A^T = M H M^T")
         failures = json.loads(results[2].detail)
         row, col = mat.row_keys[0].as_json_obj(), mat.col_keys[1].as_json_obj()
@@ -237,6 +239,29 @@ class TestSuiteRoundtrip:
         assert not res.ok
         p = mat.row_keys[a].as_json_obj()
         assert json.loads(res.detail) == [{"degree": n, "row": p, "col": p}]
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_doubled_creation_row_of_the_inverse_is_caught_at_its_degree(self, degree, monkeypatch):
+        """A row (0, nu) of the closed-form A^-1 doubled at one degree fails only the last check there."""
+        clear_memos()
+        try:
+            mat = b2_in_b3(degree)
+            for a, k in enumerate(mat.row_keys):
+                if k.i:
+                    continue
+                rows = [list(r) for r in mat.rows]
+                rows[a] = [2 * x for x in rows[a]]
+                doubled = with_rows(mat, rows)
+                monkeypatch.setattr(
+                    verify, "b2_in_b3", lambda m: doubled if m == degree else b2_in_b3(m)
+                )
+                results = verify.suite_roundtrip(4)
+                assert [r.ok for r in results] == [True, True, True, True, False], k
+                assert results[4].name.startswith("b2_in_b3 * b3_in_b2 = Id")
+                assert json.loads(results[4].detail) == [{"degree": degree}]
+        finally:
+            monkeypatch.undo()
+            clear_memos()
 
 
 class TestSuitePhi:
