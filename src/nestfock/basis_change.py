@@ -16,11 +16,11 @@ degree n - 1, translation being local in fixed-point coordinates (a
 checked identity) and a relabelling of curve keys.  Every other route is
 a product ``@`` or the transpose rescaled by the pairing-transport law
 B H B^T = Z: M = A B, C = B^-1 = H B^T Z^-1 and M^-1 = C A^-1.  All
-arithmetic is exact: ``@``, ``apply``, A^-1 and the forward substitution
-sum in integers in one loop, ``_combine``, and build one Fraction per
-nonzero output entry.  The Gram solve of A Z A^T = M H M^T, the
-Gauss-Jordan ``mat_inv`` and the dense ``mat_mul`` stay only as oracles
-for verify and the tests.
+arithmetic is exact: ``@``, ``apply`` and A^-1 sum in integers in one
+loop, ``_combine``, and build one Fraction per nonzero output entry.  No
+route solves or inverts a matrix: the Gram solve of A Z A^T = M H M^T,
+the Gauss-Jordan ``mat_inv`` and the dense ``mat_mul`` stay only as
+oracles for verify and the tests.
 
 The Hilbert side needs no solve: the fixed class of lam is h(lam) s_lam,
 so the fixed classes in the creation basis (F) come from the character
@@ -47,7 +47,7 @@ import os
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from pathlib import Path
 
 from .curve_classes import create_b3, nakajima_L, translate_b3_linear, translate_b3_pow
@@ -445,7 +445,7 @@ def gram_b3(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# triangular solves; the Gram solve is the oracle for M = b3_in_b1
+# the Gram solve, the oracle for M = b3_in_b1, and the integer kernels
 
 def _gram_solve(keys, sort_key, gram, diagonal, weight):
     """Recover M from G = M diag(weight) M^T with known diagonal.
@@ -502,36 +502,6 @@ def _combine(terms, width: int) -> tuple[list[int], int]:
         for j, x in nonzero:
             acc[j] += f * x
     return acc, den
-
-
-def forward_solve(lower, rhs, order):
-    """Rows X with lower * X = rhs, by forward substitution.
-
-    ``lower`` is square and lower triangular along ``order``, a list of
-    its row indices from first to last; rows and columns share the
-    index set.  Each finished row of X is kept as integers over one
-    gcd-reduced denominator, so the substitution sums in integers, skips
-    zero entries of ``lower`` and of finished rows, and builds one
-    Fraction per nonzero entry of X.  Raises ArithmeticError on an entry
-    above the diagonal or a zero pivot.
-    """
-    x = [None] * len(order)
-    solved = [None] * len(order)  # (nonzero (column, numerator) pairs, denominator of either sign)
-    for rank, i in enumerate(order):
-        row = lower[i]
-        if not row[i] or any(row[j] for j in order[rank + 1:]):
-            raise ArithmeticError("matrix is not triangular along the given order")
-        # rhs_i - sum_j lower_ij X_j, divided by the pivot lower_ii, then reduced
-        (b,), d = _integer_rows((rhs[i],))
-        terms = [(-row[j], solved[j]) for j in order[:rank] if row[j]]
-        acc, den = _combine([(_ONE, ([(j, v) for j, v in enumerate(b) if v], d)), *terms], len(b))
-        acc, den = [a * row[i].denominator for a in acc], den * row[i].numerator
-        g = gcd(den, *acc)
-        den //= g
-        acc = [a // g for a in acc]
-        solved[i] = ([(col, v) for col, v in enumerate(acc) if v], den)
-        x[i] = [Fraction(v, den) if v else _ZERO for v in acc]
-    return x
 
 
 @lru_cache(maxsize=None)

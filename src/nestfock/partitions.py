@@ -26,17 +26,19 @@ class Partition(tuple):
     """Weakly decreasing sequence of positive integers (possibly empty).
 
     A validated tuple of the parts: construction sorts them in
-    descending order and rejects parts below 1, and iteration, length,
-    indexing, equality and hashing are the tuple's, so a partition
-    equals the plain tuple of its parts.  ``cell in lam`` tests whether
-    a cell lies in the diagram; ``lam.parts`` is the plain tuple, for
-    part membership.
+    descending order, raises TypeError on a part that is not an int (a
+    bool is not) and ValueError on one below 1; iteration, length,
+    indexing, equality and hashing are the tuple's, so a partition equals
+    the plain tuple of its parts.  ``cell in lam`` tests whether a cell
+    lies in the diagram; ``lam.parts`` is the plain tuple, for part membership.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        ps = tuple(map(int, parts))
+        ps = tuple(parts)
+        if {*map(type, ps)} - {int}:
+            raise TypeError(f"parts must be ints, got {ps!r}")
         if ps and min(ps) < 1:
             raise ValueError(f"parts must be positive integers, got {ps}")
         return super().__new__(cls, sorted(ps, reverse=True))

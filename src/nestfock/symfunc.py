@@ -2,10 +2,12 @@
 
 Symmetric functions are stored as sparse vectors over partition keys
 in the power-sum basis; elements of the polynomial extension carry an
-extra exponent.  The monomial transition counts the ways to distribute
-the parts of nu among the rows of lam (the coefficient of m_lam in
-p_nu), with no characters and no curve classes, so it serves as an
-oracle independent of the curve-class recursions.  ``character`` is
+extra exponent.  Under phi the curve class L_lam is m_lam and the fixed
+class [lam] is h(lam) s_lam, so ``m_in_p`` and ``schur_in_p`` read the
+rows of ``basis_change``'s curve and fixed classes.  ``p_in_m`` counts
+the ways to distribute the parts of nu among the rows of lam (the
+coefficient of m_lam in p_nu), with no characters and no curve classes,
+so it serves as an oracle independent of both.  ``character`` is
 ``partitions.character``, imported here under the same name.
 """
 
@@ -15,9 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .basis_change import _expansion_matrix, forward_solve, identity_rows
+from .basis_change import _expansion_matrix, hilb_fixed_in_p, hilb_L_in_p_matrix
 from .fock import B2Key, FockVector, diagonal_pairing
-from .partitions import Partition, character, partition_keys, z_factor
+from .partitions import Partition, character, hook_product, partition_keys, z_factor
 from .ring import star_tilde
 
 
@@ -63,30 +65,20 @@ def _p_to_m_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
     return _expansion_matrix("p", "m", n, keys, keys, p_in_m).rows
 
 
-@lru_cache(maxsize=None)
 def _m_to_p_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    # p_nu involves only m_lam with lam dominating nu, so the p -> m matrix
-    # is triangular along decreasing lexicographic order
-    keys = partition_keys(n)
-    order = sorted(range(len(keys)), key=lambda i: keys[i].parts, reverse=True)
-    return tuple(tuple(r) for r in forward_solve(_p_to_m_rows(n), identity_rows(len(keys)), order))
+    return hilb_L_in_p_matrix(n).rows
 
 
 def m_in_p(lam: Partition) -> FockVector:
-    """Monomial symmetric function m_lam in the power-sum basis."""
+    """Monomial symmetric function m_lam in the power-sum basis: phi(L_lam)."""
     keys = partition_keys(lam.size)
     row = _m_to_p_rows(lam.size)[keys.index(lam)]
     return FockVector(zip(keys, row))
 
 
 def schur_in_p(lam: Partition) -> FockVector:
-    """Schur function s_lam = sum_nu chi^lam(nu)/z_nu * p_nu."""
-    out = []
-    for nu in partition_keys(lam.size):
-        chi = character(lam, nu)
-        if chi:
-            out.append((nu, Fraction(chi, z_factor(nu))))
-    return FockVector(out)
+    """Schur function s_lam = phi([lam]) / h(lam) = sum_nu chi^lam(nu)/z_nu * p_nu."""
+    return hilb_fixed_in_p(lam.size).expand(lam) * Fraction(1, hook_product(lam))
 
 
 def phi(v: FockVector) -> FockVector:

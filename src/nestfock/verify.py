@@ -34,7 +34,6 @@ from .basis_change import (
     gram_b3,
     hilb_fixed_in_p,
     hilb_L_in_fixed,
-    hilb_L_in_p,
     hilb_L_in_p_matrix,
     hilb_p_in_fixed,
     operator_keys,
@@ -73,7 +72,7 @@ from .ring import (
     star_b1,
     star_hilb,
 )
-from .symfunc import _p_to_m_rows, hall_pairing, m_in_p, phi
+from .symfunc import _p_to_m_rows, hall_pairing, phi
 
 
 class CheckResult(NamedTuple):
@@ -342,12 +341,19 @@ def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
     return out
 
 
+def _p_to_m(n: int) -> TransitionMatrix:
+    keys = partition_keys(n)
+    return TransitionMatrix("hilb_p", "m", n, keys, keys, _p_to_m_rows(n))
+
+
 def suite_phi(max_n: int = 9) -> list[CheckResult]:
     """Symmetric-function dictionary checks."""
+    # L P = 1 with P the counted p -> m matrix, independent of the curve classes
     bad = []
     for n in range(max_n + 1):
-        for lam in partition_keys(n):
-            if phi(hilb_L_in_p(lam)) != m_in_p(lam):
+        in_m = hilb_L_in_p_matrix(n) @ _p_to_m(n)
+        for lam in in_m.row_keys:
+            if in_m.expand(lam) != FockVector.unit(lam):
                 bad.append({"lambda": lam.as_list()})
     out = [_result(f"curve classes map to monomial functions, |lam| <= {max_n}", bad)]
 
@@ -365,7 +371,7 @@ def suite_phi(max_n: int = 9) -> list[CheckResult]:
     limit = min(max_n, 8)
     for n in range(limit + 1):
         mat = hilb_fixed_in_p(n)
-        in_m = mat @ TransitionMatrix("hilb_p", "m", n, mat.col_keys, mat.col_keys, _p_to_m_rows(n))
+        in_m = mat @ _p_to_m(n)
         for lam, row in zip(mat.row_keys, in_m.rows):
             img = phi(mat.expand(lam))
             if hall_pairing(img, img) != hook_product(lam) ** 2:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import child_env, clear_memos
 from oracles import transition_json_text
-from nestfock import basis_change
+from nestfock import basis_change, ring, symfunc
 from nestfock.basis_change import (
     CacheError,
     TransitionMatrix,
@@ -32,7 +32,6 @@ from nestfock.basis_change import (
     cache_store,
     fixed_annihilation,
     fixed_creation,
-    forward_solve,
     gram_b3,
     hilb_fixed_in_p,
     hilb_L_in_fixed,
@@ -262,22 +261,6 @@ class TestGaussJordanOracle:
         assert rows_of(hilb_p_in_fixed(n)) == mat_inv(fixed_in_p)
 
 
-class TestForwardSolve:
-    def test_follows_the_given_order(self):
-        upper = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
-        assert forward_solve(upper, identity_rows(2), [1, 0]) == mat_inv(upper)
-
-    def test_entry_above_diagonal_rejected(self):
-        upper = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
-        with pytest.raises(ArithmeticError):
-            forward_solve(upper, identity_rows(2), [0, 1])
-
-    def test_zero_pivot_rejected(self):
-        lower = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-        with pytest.raises(ArithmeticError):
-            forward_solve(lower, identity_rows(2), [0, 1])
-
-
 # rational entries with a good share of zeros, so rows and columns go empty
 NONZERO = st.fractions(-9, 9, max_denominator=12).filter(bool)
 ENTRIES = st.one_of(st.just(Fraction(0)), NONZERO)
@@ -285,20 +268,6 @@ ENTRIES = st.one_of(st.just(Fraction(0)), NONZERO)
 
 def matrices(rows, cols):
     return st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
-
-
-@st.composite
-def triangular_systems(draw):
-    """(lower, rhs, order): lower is triangular along the permutation order."""
-    size = draw(st.integers(0, 6))
-    width = draw(st.integers(1, 4))
-    order = draw(st.permutations(range(size)))
-    lower = [[Fraction(0)] * size for _ in range(size)]
-    for rank, i in enumerate(order):
-        for j in order[:rank]:
-            lower[i][j] = draw(ENTRIES)
-        lower[i][i] = draw(NONZERO)
-    return lower, draw(matrices(size, width)), order
 
 
 def only_fractions(rows):
@@ -338,43 +307,6 @@ class TestIntegerKernels:
         b = TransitionMatrix("y", "z", 0, ["t", "s"], ["u"], [[Fraction(1)], [Fraction(2)]])
         with pytest.raises(ValueError):
             a @ b
-
-    @given(system=triangular_systems())
-    @settings(max_examples=100, deadline=None)
-    def test_forward_solve_matches_mat_inv(self, system):
-        lower, rhs, order = system
-        x = forward_solve(lower, rhs, order)
-        assert x == (mat_mul(mat_inv(lower), rhs) if lower else [])
-        assert only_fractions(x)
-
-    def test_solution_need_not_be_integral(self):
-        lower = [[Fraction(-3), Fraction(0)], [Fraction(1, 2), Fraction(5, 7)]]
-        rhs = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2, 3)]]
-        expected = [[Fraction(-1, 3), Fraction(0)], [Fraction(7, 30), Fraction(14, 15)]]
-        assert forward_solve(lower, rhs, [0, 1]) == expected == mat_mul(mat_inv(lower), rhs)
-
-    @given(system=triangular_systems(), data=st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_forward_solve_rejects_entry_above_diagonal(self, system, data):
-        lower, rhs, order = system
-        if len(order) < 2:
-            return
-        rank = data.draw(st.integers(0, len(order) - 2))
-        above = data.draw(st.sampled_from(order[rank + 1:]))
-        lower[order[rank]][above] = data.draw(NONZERO)
-        with pytest.raises(ArithmeticError):
-            forward_solve(lower, rhs, order)
-
-    @given(system=triangular_systems(), data=st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_forward_solve_rejects_zero_pivot(self, system, data):
-        lower, rhs, order = system
-        if not order:
-            return
-        i = data.draw(st.sampled_from(order))
-        lower[i][i] = Fraction(0)
-        with pytest.raises(ArithmeticError):
-            forward_solve(lower, rhs, order)
 
 
 class TestIntegerApplyAndGram:
@@ -424,18 +356,28 @@ class TestGramRouteOracle:
         assert rows_of(b2_in_b1(n)) == mat_mul(mat_inv(rows_of(b3_in_b2_matrix(n))), m)
 
     def test_no_route_reaches_the_gram_solve(self, monkeypatch):
-        """All six routes and the products build with the Gram route and forward_solve disabled."""
+        """The six routes, the Hilbert side, m_lam, s_lam and the products build with no solve.
+
+        The Gram route, the Gauss-Jordan inverse and the dense product are
+        disabled in every module that can reach them.
+        """
 
         def refuse(*args):
-            raise AssertionError("the Gram route or a triangular solve was reached")
+            raise AssertionError("the Gram route, a generic solve or an inverse was reached")
 
-        for name in ("_gram_solve", "gram_b3", "_gram", "forward_solve"):
-            monkeypatch.setattr(basis_change, name, refuse)
+        for module in (basis_change, ring, symfunc):
+            for name in ("_gram_solve", "gram_b3", "_gram", "mat_inv", "mat_mul"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
         clear_memos()
         try:
             for n in range(7):
                 for route in ROUTES:
                     transition_matrix(*route, n)
+                for build in (hilb_fixed_in_p, hilb_p_in_fixed, hilb_L_in_fixed):
+                    build(n)
+                for lam in partition_keys(n):
+                    assert symfunc.m_in_p(lam) and symfunc.schur_in_p(lam)
             for n in range(4):
                 x = U(operator_keys(n)[0])
                 assert star_tilde(x, x)
@@ -618,7 +560,7 @@ class TestHilbertSide:
 
         The oracle factors G = L Z L^T as X diag(h^2) X^T with X triangular
         along the ascending order of the parts and diagonal 1/h, then gets
-        F from X F = L by forward substitution.
+        F from X F = L by the Gauss-Jordan inverse of X.
         """
         keys = partition_keys(n)
         curves = hilb_L_in_p_matrix(n)
@@ -629,8 +571,7 @@ class TestHilbertSide:
             lambda lam: Fraction(1, hook_product(lam)),
             lambda lam: Fraction(hook_product(lam)) ** 2,
         )
-        order = sorted(range(len(keys)), key=lambda i: keys[i].parts)
-        f = forward_solve(x, curves.rows, order)
+        f = mat_mul(mat_inv(x), rows_of(curves))
         assert rows_of(hilb_L_in_fixed(n)) == x
         assert rows_of(hilb_fixed_in_p(n)) == f
         assert rows_of(hilb_p_in_fixed(n)) == mat_inv(f)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -51,6 +52,12 @@ class TestPartitionType:
             P([2, 0])
         with pytest.raises(ValueError, match=r"^parts must be positive integers, got \(-1,\)$"):
             P([-1])
+
+    @pytest.mark.parametrize("parts", [[1.7, 2.2], [2.0], ["3"], [True], [2, False], [Fraction(2)]])
+    def test_rejects_parts_that_are_not_ints(self, parts):
+        """No part is rounded, parsed or read as a bool: a partition is exact."""
+        with pytest.raises(TypeError, match=r"^parts must be ints, got "):
+            P(parts)
 
     def test_size_length(self):
         lam = P([4, 4, 2, 1])

@@ -5,13 +5,21 @@ import pytest
 
 from oracles import p_in_m_expanded
 from nestfock.basis_change import (
+    TransitionMatrix,
     b1_in_b2,
     hilb_fixed_in_p,
     hilb_L_in_p,
     mat_inv,
 )
 from nestfock.fock import B2Key, FockVector
-from nestfock.partitions import Partition, enumerate_partitions, hook_product, z_factor
+from nestfock.partitions import (
+    Partition,
+    dominance_le,
+    enumerate_partitions,
+    hook_product,
+    partition_keys,
+    z_factor,
+)
 from nestfock.ring import pullback_f, star_hilb
 from nestfock.symfunc import (
     PolyVKey,
@@ -118,11 +126,21 @@ class TestDictionaries:
                 assert phi(hilb_L_in_p(lam)) == m_in_p(lam)
 
     def test_fixed_class_is_scaled_schur(self):
-        for n in range(7):
-            for lam in enumerate_partitions(n):
+        """s_lam = phi([lam]) / h(lam) is m_lam plus terms lower in dominance order.
+
+        The monomial expansion goes through the counted p -> m matrix, so it
+        does not read the fixed classes; with ``test_schur_orthonormal`` it
+        pins s_lam down.
+        """
+        for n in range(8):
+            keys = partition_keys(n)
+            to_m = TransitionMatrix("p", "m", n, keys, keys, _p_to_m_rows(n))
+            for lam in keys:
                 img = phi(hilb_fixed_in_p(n).expand(lam))
-                assert img == hook_product(lam) * schur_in_p(lam)
                 assert hall_pairing(img, img) == hook_product(lam) ** 2
+                in_m = to_m.apply(schur_in_p(lam))
+                assert in_m[lam] == 1
+                assert all(dominance_le(mu, lam) for mu in in_m.keys())
 
 
 def _fixed_image_polyv(lam):

@@ -20,13 +20,17 @@ from nestfock.basis_change import (
     gram_b3,
     hilb_fixed_in_p,
     hilb_L_in_fixed,
+    hilb_L_in_p,
+    hilb_L_in_p_matrix,
     operator_keys,
+    partition_keys,
     pair_keys,
 )
 from nestfock.fock import B2Key, FockVector, loop_action
 from nestfock.incidence import h_pair
 from nestfock.partitions import Partition, z_factor
 from nestfock.ring import pullback_f, pullback_g
+from nestfock.symfunc import m_in_p
 
 
 def perturbed(n, a, t, delta):
@@ -265,6 +269,28 @@ class TestSuiteRoundtrip:
 
 
 class TestSuitePhi:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_scaled_curve_row_is_caught_at_its_degree(self, degree):
+        """A row of the memoized hilb_L_in_p_matrix doubled fails the monomial check there only.
+
+        m_in_p reads the same rows, so it doubles too: only the counted
+        p -> m matrix can tell.
+        """
+        name = "curve classes map to monomial functions"
+        for a, lam in enumerate(partition_keys(degree)):
+            clear_memos()
+            try:
+                mat = hilb_L_in_p_matrix(degree)
+                mat.rows = tuple(
+                    tuple(2 * x for x in row) if b == a else row for b, row in enumerate(mat.rows)
+                )
+                assert m_in_p(lam) == 2 * hilb_L_in_p(lam)
+                (res,) = [r for r in verify.suite_phi(5) if r.name.startswith(name)]
+                assert not res.ok
+                assert json.loads(res.detail) == [{"lambda": lam.as_list()}]
+            finally:
+                clear_memos()
+
     @pytest.mark.parametrize(
         "n, lam, mu",
         [
