@@ -22,10 +22,13 @@ route solves or inverts a matrix: the Gram solve of A Z A^T = M H M^T,
 the Gauss-Jordan ``mat_inv`` and the dense ``mat_mul`` stay only as
 oracles for verify and the tests.
 
-The Hilbert side needs no solve: the fixed class of lam is h(lam) s_lam,
-so the fixed classes in the creation basis (F) come from the character
-table, F^-1 is the rescaled transpose, and the curve classes in the
-fixed classes are L F^-1.  Both sides run through the same helpers:
+The Hilbert side is read off the incidence side: the n-point curve class
+L_lam in the creation basis is the slice (0, nu) of the incidence curve
+class (lam, lam + (1)) in the operator basis, read as nu.  The fixed
+class of lam is h(lam) s_lam, so the fixed classes in the creation basis
+(F) come from the character table, F^-1 is the rescaled transpose, and
+the curve classes in the fixed classes are L F^-1.  Both sides run
+through the same helpers:
 ``_expansion_matrix`` (curve classes, row by row), ``@``,
 ``_transport_inverse`` (the rescaled transpose) and ``_conjugated`` (an
 operator carried into fixed-point coordinates, built once per index and
@@ -50,7 +53,7 @@ from functools import lru_cache
 from math import lcm
 from pathlib import Path
 
-from .curve_classes import create_b3, nakajima_L, translate_b3_linear, translate_b3_pow
+from .curve_classes import create_b3, translate_b3_linear, translate_b3_pow
 from .fock import (
     _ONE,
     _ZERO,
@@ -69,6 +72,7 @@ from .partitions import (
     Partition,
     character,
     hook_product,
+    insert_part,
     partition_keys,
     remove_part,
     z_factor,
@@ -678,34 +682,11 @@ def fixed_annihilation(m: int, v: FockVector, n: int) -> FockVector:
 # ---------------------------------------------------------------------------
 # Hilbert side: curve and fixed classes in the creation basis
 
-_HILB_L: dict[Partition, FockVector] = {}
-
-
 def hilb_L_in_p(lam: Partition) -> FockVector:
-    """n-point curve class expanded in the creation basis.
-
-    Induction on (size, length): strip the largest part m, apply the
-    creation operator of index m to the stripped expansion, and solve
-    for the target; the other terms of the curve-basis creation rule
-    have shorter key partitions.
-    """
-    hit = _HILB_L.get(lam)
-    if hit is not None:
-        return hit
-    if lam.size == 0:
-        result = FockVector.unit(Partition())
-    else:
-        m = lam[0]
-        stripped = remove_part(lam, m)
-        acc = hilb_creation(m, hilb_L_in_p(stripped))
-        terms = nakajima_L(m, FockVector.unit(stripped))
-        target_coeff = terms[lam]
-        for q, c in terms.items():
-            if q != lam:
-                acc = acc - c * hilb_L_in_p(q)
-        result = acc * Fraction(1, target_coeff)
-    _HILB_L[lam] = result
-    return result
+    """n-point curve class in the creation basis: the terms (0, nu) of the
+    incidence curve class (lam, lam + (1)) in the operator basis, read as nu."""
+    exp = b3_in_b2(IncidencePair(lam, insert_part(lam, 1)))
+    return FockVector._wrap({k.nu: c for k, c in exp.items() if not k.i})
 
 
 @lru_cache(maxsize=None)

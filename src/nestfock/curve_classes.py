@@ -1,10 +1,12 @@
 """Curve-class bases and the operator actions on them.
 
-On the n-point side the keys are partitions lam, standing for the
-closure class of the locus of n points distributed on a fixed axis
-with cluster sizes lam.  On the incidence side the keys are incidence
-pairs (lam, mu), standing for the analogous nested loci; these form
-the curve basis (b3) of the incidence Fock module.
+On the incidence side the keys are incidence pairs (lam, mu), standing
+for the closure classes of nested loci of points on a fixed axis; these
+form the curve basis (b3) of the incidence Fock module.  On the n-point
+side the keys are partitions lam (cluster sizes), and the n-point curve
+class L_lam is the incidence key (lam, lam + (1)) read as lam: the
+n-point creation rule ``nakajima_L`` is ``create_b3`` on these lifted
+keys, keeping the image keys of value 0.
 """
 
 from __future__ import annotations
@@ -32,18 +34,11 @@ def add_part(lam: Partition, part: int, m: int) -> Partition:
 def nakajima_L(m: int, v: FockVector) -> FockVector:
     """Creation of index m on the n-point curve basis.
 
-    Each key lam maps to the sum over distinct cluster sizes
-    lam_k in {0} union parts(lam) of the key lam(lam_k, m), weighted
-    by the multiplicity of lam_k + m in the result.
+    Each key lam is lifted to (lam, lam + (1)); of the image under
+    ``create_b3`` the keys of value 0 are kept, each read as its lam.
     """
-    if m < 1:
-        raise ValueError("creation index must be positive")
-    out: list = []
-    for lam, c in v.items():
-        for lam_k in {0} | set(lam.parts):
-            target = add_part(lam, lam_k, m)
-            out.append((target, c * target.multiplicity(lam_k + m)))
-    return FockVector(out)
+    lifted = v.map_keys(lambda lam: IncidencePair(lam, insert_part(lam, 1)))
+    return FockVector([(p.lam, c) for p, c in create_b3(m, lifted).items() if p.value == 0])
 
 
 def translate_b3(pair: IncidencePair) -> IncidencePair:
@@ -62,7 +57,7 @@ def translate_b3_pow(pair: IncidencePair, j: int) -> IncidencePair:
     return pair
 
 
-def create_b3(m: int, v: FockVector, *, corrected: bool = True) -> FockVector:
+def create_b3(m: int, v: FockVector) -> FockVector:
     """Creation of index m on the incidence curve basis.
 
     For a key (lam, mu) with distinguished value i the image has three
@@ -79,10 +74,6 @@ def create_b3(m: int, v: FockVector, *, corrected: bool = True) -> FockVector:
       present);
     * the absorption term (lam(i, m), mu(i+1, m)) with coefficient 1,
       which is the m-fold translate of the source key.
-
-    ``corrected=False`` drops the "minus 1" adjustment in the first
-    kind of term.  That variant breaks commutation with the
-    translation operator and is kept only as a regression witness.
     """
     if m < 1:
         raise ValueError("creation index must be positive")
@@ -100,7 +91,7 @@ def create_b3(m: int, v: FockVector, *, corrected: bool = True) -> FockVector:
                 lam2 = add_part(lam, lam_k, m)
                 mu2 = add_part(mu, lam_k, m)
                 coeff = lam2.multiplicity(lam_k + m)
-                if corrected and lam_k + m == i:
+                if lam_k + m == i:
                     coeff -= 1
             if coeff:
                 out.append((IncidencePair(lam2, mu2), c * coeff))

@@ -8,7 +8,8 @@ rows of ``basis_change``'s curve and fixed classes.  ``p_in_m`` counts
 the ways to distribute the parts of nu among the rows of lam (the
 coefficient of m_lam in p_nu), with no characters and no curve classes,
 so it serves as an oracle independent of both.  ``character`` is
-``partitions.character``, imported here under the same name.
+``partitions.character`` and ``hall_pairing`` is ``fock.pair_hilb_p``,
+bound here under these names.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .basis_change import _expansion_matrix, hilb_fixed_in_p, hilb_L_in_p_matrix
-from .fock import B2Key, FockVector, diagonal_pairing
-from .partitions import Partition, character, hook_product, partition_keys, z_factor
+from .fock import B2Key, FockVector, pair_hilb_p
+from .partitions import Partition, character, hook_product, partition_keys
 from .ring import star_tilde
 
 
@@ -71,9 +72,7 @@ def _m_to_p_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 def m_in_p(lam: Partition) -> FockVector:
     """Monomial symmetric function m_lam in the power-sum basis: phi(L_lam)."""
-    keys = partition_keys(lam.size)
-    row = _m_to_p_rows(lam.size)[keys.index(lam)]
-    return FockVector(zip(keys, row))
+    return hilb_L_in_p_matrix(lam.size).expand(lam)
 
 
 def schur_in_p(lam: Partition) -> FockVector:
@@ -99,9 +98,7 @@ def phi_tilde_inverse(x: FockVector) -> FockVector:
     return x.map_keys(lambda k: B2Key(k.v, k.nu))
 
 
-def hall_pairing(f: FockVector, g: FockVector) -> Fraction:
-    """Hall pairing in the power-sum basis: <p_lam, p_mu> = z_lam delta."""
-    return diagonal_pairing(f, g, z_factor)
+hall_pairing = pair_hilb_p  # Hall pairing in the power-sum basis: <p_lam, p_mu> = z_lam delta
 
 
 def induced_product(x: FockVector, y: FockVector) -> FockVector:

@@ -15,7 +15,7 @@ def clear_memos():
     and partition modules.
 
     That includes memoized methods such as ``Partition.conjugate`` and the
-    plain-dict memos of ``basis_change``.  A test that monkeypatches a
+    plain-dict memo ``_B3_IN_B2`` of ``basis_change``.  A test that monkeypatches a
     matrix function calls this before and after, so no matrix built from
     the patched function outlives the test.
     """
@@ -24,7 +24,6 @@ def clear_memos():
             for memo in (obj, *vars(obj).values()) if isinstance(obj, type) else (obj,):
                 if hasattr(memo, "cache_clear"):
                     memo.cache_clear()
-    basis_change._HILB_L.clear()
     basis_change._B3_IN_B2.clear()
 
 

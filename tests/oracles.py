@@ -2,10 +2,13 @@
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 from nestfock.basis_change import operator_keys, pair_keys
-from nestfock.fock import FockVector
-from nestfock.partitions import Cell, Corner, Partition
+from nestfock.curve_classes import add_part, create_b3
+from nestfock.fock import FockVector, hilb_creation
+from nestfock.incidence import IncidencePair
+from nestfock.partitions import Cell, Corner, Partition, remove_part
 from nestfock.ring import star_b1, star_tilde
 
 
@@ -33,6 +36,58 @@ def p_in_m_expanded(nu: Partition) -> FockVector:
         if expv == shape + (0,) * (n - len(shape)):
             out.append((Partition(shape), Fraction(c)))
     return FockVector(out)
+
+
+def nakajima_L_explicit(m: int, v: FockVector) -> FockVector:
+    """Creation of index m on the n-point curve basis, by the explicit rule.
+
+    Each key lam maps to the sum over distinct cluster sizes
+    lam_k in {0} union parts(lam) of the key lam(lam_k, m), weighted
+    by the multiplicity of lam_k + m in the result.
+    """
+    out = []
+    for lam, c in v.items():
+        for lam_k in {0} | set(lam.parts):
+            target = add_part(lam, lam_k, m)
+            out.append((target, c * target.multiplicity(lam_k + m)))
+    return FockVector(out)
+
+
+@lru_cache(maxsize=None)
+def hilb_L_in_p_recursive(lam: Partition) -> FockVector:
+    """n-point curve class in the creation basis, by its own recursion.
+
+    Induction on (size, length): strip the largest part m, apply the
+    creation operator of index m to the stripped expansion, and solve
+    for the target; the other terms of the explicit creation rule
+    have shorter key partitions.
+    """
+    if lam.size == 0:
+        return FockVector.unit(Partition())
+    m = lam[0]
+    stripped = remove_part(lam, m)
+    acc = hilb_creation(m, hilb_L_in_p_recursive(stripped))
+    terms = nakajima_L_explicit(m, FockVector.unit(stripped))
+    for q, c in terms.items():
+        if q != lam:
+            acc = acc - c * hilb_L_in_p_recursive(q)
+    return acc * Fraction(1, terms[lam])
+
+
+def create_b3_uncorrected(m: int, v: FockVector) -> FockVector:
+    """create_b3 without the "minus 1" on terms whose new cluster has the distinguished value.
+
+    For each source (lam, mu) of value i with lam_k = i - m in
+    {0} union parts(lam), one more copy of (lam(lam_k, m), mu(lam_k, m)).
+    This literal coefficient breaks commutation with the translation
+    operator; it serves as a regression witness.
+    """
+    extra = []
+    for p, c in v.items():
+        lam_k = p.value - m
+        if lam_k == 0 or (lam_k > 0 and lam_k in p.lam.parts):
+            extra.append((IncidencePair(add_part(p.lam, lam_k, m), add_part(p.mu, lam_k, m)), c))
+    return create_b3(m, v) + FockVector(extra)
 
 
 def addable_corners(lam: Partition) -> list[Corner]:

@@ -6,6 +6,7 @@ Every comparison is exact rational arithmetic; there are no tolerances.
 from fractions import Fraction
 
 from conftest import run_cli
+from oracles import create_b3_uncorrected
 from nestfock.basis_change import b2_in_b1, b3_in_b1, b3_in_b2
 from nestfock.curve_classes import create_b3, translate_b3_linear
 from nestfock.fock import B2Key, FockVector
@@ -76,8 +77,8 @@ def test_criterion_05_pairing_transport():
 def test_criterion_06_literal_coefficient_regression():
     failures = []
     src = U(pr([], [1]))
-    lit_then_t = translate_b3_linear(create_b3(1, src, corrected=False))
-    t_then_lit = create_b3(1, translate_b3_linear(src), corrected=False)
+    lit_then_t = translate_b3_linear(create_b3_uncorrected(1, src))
+    t_then_lit = create_b3_uncorrected(1, translate_b3_linear(src))
     if lit_then_t == t_then_lit:
         failures.append("uncorrected coefficient unexpectedly commutes at degree 2")
     for n in range(4):

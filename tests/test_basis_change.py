@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env, clear_memos
-from oracles import transition_json_text
+from oracles import hilb_L_in_p_recursive, transition_json_text
 from nestfock import basis_change, ring, symfunc
 from nestfock.basis_change import (
     CacheError,
@@ -547,6 +547,18 @@ class TestHilbertSide:
         assert hilb_L_in_p(P([1, 1])) == Fraction(1, 2) * U(P([1, 1])) - Fraction(
             1, 2
         ) * U(P([2]))
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_curve_in_p_matches_recursion(self, n):
+        for lam in partition_keys(n):
+            assert hilb_L_in_p(lam) == hilb_L_in_p_recursive(lam), lam
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_curve_keys_of_positive_value_have_no_creation_terms(self, n):
+        """Only the keys of value 0 reach the terms (0, nu) that hilb_L_in_p reads."""
+        for p in pair_keys(n):
+            if p.value > 0:
+                assert all(k.i for k in b3_in_b2(p).keys()), p
 
     def test_fixed_in_p(self):
         mat = hilb_fixed_in_p(2)

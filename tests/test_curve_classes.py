@@ -2,6 +2,7 @@ from math import factorial
 
 import pytest
 
+from oracles import create_b3_uncorrected, nakajima_L_explicit
 from nestfock.curve_classes import (
     add_part,
     create_b3,
@@ -12,7 +13,7 @@ from nestfock.curve_classes import (
 )
 from nestfock.fock import FockVector
 from nestfock.incidence import IncidencePair, enumerate_incidence_pairs
-from nestfock.partitions import Partition
+from nestfock.partitions import Partition, enumerate_partitions
 from nestfock.symfunc import p_in_m
 
 P = Partition
@@ -60,6 +61,12 @@ class TestNakajimaL:
                 vec = nakajima_L(1, vec)
             assert vec == p_in_m(P([1] * n))
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_slice_of_create_b3_matches_explicit_rule(self, n):
+        for lam in enumerate_partitions(n):
+            for m in range(1, 5):
+                assert nakajima_L(m, U(lam)) == nakajima_L_explicit(m, U(lam)), (lam, m)
+
 
 class TestTranslateB3:
     def test_spot_values(self):
@@ -98,8 +105,8 @@ class TestCreateB3:
         # dropping the overlap correction must fail exactly where the
         # corrected rule succeeds
         src = U(pr([], [1]))
-        lit_then_t = translate_b3_linear(create_b3(1, src, corrected=False))
-        t_then_lit = create_b3(1, translate_b3_linear(src), corrected=False)
+        lit_then_t = translate_b3_linear(create_b3_uncorrected(1, src))
+        t_then_lit = create_b3_uncorrected(1, translate_b3_linear(src))
         assert lit_then_t != t_then_lit
         assert t_then_lit[pr([1, 1], [2, 1])] == 2
         assert lit_then_t[pr([1, 1], [2, 1])] == 1

@@ -94,6 +94,6 @@ def test_clear_memos_empties_every_memo_of_the_package():
 
 def test_clear_memos_empties_the_dict_memos_of_basis_change():
     assert all(r.ok for r in run_suite("phi", 3) + run_suite("roundtrip", 3))
-    assert basis_change._HILB_L and basis_change._B3_IN_B2
+    assert basis_change._B3_IN_B2
     clear_memos()
-    assert basis_change._HILB_L == {} and basis_change._B3_IN_B2 == {}
+    assert basis_change._B3_IN_B2 == {}

@@ -26,8 +26,9 @@ from nestfock.basis_change import (
     partition_keys,
     pair_keys,
 )
+from nestfock.curve_classes import add_part, create_b3
 from nestfock.fock import B2Key, FockVector, loop_action
-from nestfock.incidence import h_pair
+from nestfock.incidence import IncidencePair, h_pair
 from nestfock.partitions import Partition, z_factor
 from nestfock.ring import pullback_f, pullback_g
 from nestfock.symfunc import m_in_p
@@ -290,6 +291,34 @@ class TestSuitePhi:
                 assert json.loads(res.detail) == [{"lambda": lam.as_list()}]
             finally:
                 clear_memos()
+
+    def test_extra_creation_term_in_the_incidence_curve_recursion_is_caught(self, monkeypatch):
+        """An extra i-term of create_b3 on the sources of value 0 and size 1 fails the monomial check.
+
+        hilb_L_in_p reads the incidence curve classes, so the counted
+        p -> m matrix guards the curve recursion of b3_in_b2 too.
+        """
+
+        def mutant(m, v):
+            extra = [
+                (IncidencePair(add_part(p.lam, 0, m), add_part(p.mu, 0, m)), c)
+                for p, c in v.items()
+                if p.value == 0 and p.lam.size == 1
+            ]
+            return create_b3(m, v) + FockVector(extra)
+
+        name = "curve classes map to monomial functions"
+        clear_memos()
+        try:
+            monkeypatch.setattr(basis_change, "create_b3", mutant)
+            (res,) = [r for r in verify.suite_phi(4) if r.name.startswith(name)]
+            assert not res.ok
+            assert json.loads(res.detail) == [
+                {"lambda": [1, 1]}, {"lambda": [2, 1]}, {"lambda": [1, 1, 1]}
+            ]
+        finally:
+            monkeypatch.undo()
+            clear_memos()
 
     @pytest.mark.parametrize(
         "n, lam, mu",
