@@ -8,19 +8,22 @@ deterministically:
 * b3 - curve basis, keys = incidence pairs in enumeration order.
 
 The curve basis in the operator basis, A, is a double induction on
-size and length.  The operator basis in the fixed-point basis, B, and in
-the curve basis, A^-1, are closed-form from the words (i, nu) = t^i a_-nu
-on the vacuum: the rows (0, nu) come from the character table and the
-curve-basis creation operator, and each other row translates a row of
-degree n - 1, translation being local in fixed-point coordinates (a
-checked identity) and a relabelling of curve keys.  Every other route is
-a product ``@`` or the transpose rescaled by the pairing-transport law
-B H B^T = Z: M = A B, C = B^-1 = H B^T Z^-1 and M^-1 = C A^-1.  All
-arithmetic is exact: ``@``, ``apply`` and A^-1 sum in integers in one
-loop, ``_combine``, and build one Fraction per nonzero output entry.  No
-route solves or inverts a matrix: the Gram solve of A Z A^T = M H M^T,
-the Gauss-Jordan ``mat_inv`` and the dense ``mat_mul`` stay only as
-oracles for verify and the tests.
+size and length: each row is the creation operator a_-m on a row of
+degree n - m, less rows of the same degree built before it.  The
+operator basis in the fixed-point basis, B, and in the curve basis,
+A^-1, are closed-form from the words (i, nu) = t^i a_-nu on the vacuum:
+the rows (0, nu) come from the character table and the curve-basis
+creation operator, and each other row translates a row of degree n - 1,
+translation being local in fixed-point coordinates (a checked identity)
+and a relabelling of curve keys.  Every other route is a product ``@``
+or the transpose rescaled by the pairing-transport law B H B^T = Z:
+M = A B, C = B^-1 = H B^T Z^-1 and M^-1 = C A^-1.  All arithmetic is
+exact and in integers: a matrix stores each row as its nonzero integers
+over one denominator, and A, B, A^-1, ``@`` and ``apply`` build every
+row by one loop, ``_combine``, over such rows.  No route solves or
+inverts a matrix: the Gram solve of A Z A^T = M H M^T, the Gauss-Jordan
+``mat_inv`` and the dense ``mat_mul`` stay only as oracles for verify
+and the tests.
 
 The Hilbert side is read off the incidence side: the n-point curve class
 L_lam in the creation basis is the slice (0, nu) of the incidence curve
@@ -29,7 +32,7 @@ class of lam is h(lam) s_lam, so the fixed classes in the creation basis
 (F) come from the character table, F^-1 is the rescaled transpose, and
 the curve classes in the fixed classes are L F^-1.  Both sides run
 through the same helpers:
-``_expansion_matrix`` (curve classes, row by row), ``@``,
+``_expansion_matrix`` (n-point curve classes, row by row), ``@``,
 ``_transport_inverse`` (the rescaled transpose) and ``_conjugated`` (an
 operator carried into fixed-point coordinates, built once per index and
 degree as a matrix).
@@ -50,13 +53,11 @@ import os
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 from .curve_classes import create_b3, translate_b3_linear, translate_b3_pow
 from .fock import (
-    _ONE,
-    _ZERO,
     B2Key,
     FockVector,
     annihilation,
@@ -158,61 +159,75 @@ class TransitionMatrix:
     """Exact change-of-basis matrix for one graded piece.
 
     Row key p expands the source basis element p in the target basis:
-    p = sum_q rows[p][q] * q.  The entries are Fractions, stored as given.
+    p = sum_q rows[p][q] * q.  Each row is stored once, in ``int_rows``,
+    as (nonzero (column, numerator) pairs in ascending column order,
+    denominator), the denominator being the least common multiple of the
+    row's reduced denominators.  The form is canonical, so equality is
+    exact; ``rows`` is a Fraction view of it, built on first read.
     """
 
     __slots__ = (
-        "source", "target", "degree", "row_keys", "col_keys", "rows",
-        "_index", "_ints", "_strs", "_sum", "_text",
+        "source", "target", "degree", "row_keys", "col_keys", "int_rows",
+        "_index", "_view", "_strs", "_sum", "_text",
     )
 
-    def __init__(self, source, target, degree, row_keys, col_keys, rows) -> None:
+    def __new__(cls, source, target, degree, row_keys, col_keys, rows) -> "TransitionMatrix":
+        """The matrix of dense rows of ints or Fractions, one per row key."""
+        rows = [tuple(row) for row in rows]
+        _check_shape(rows, row_keys, col_keys)
+        int_rows = [_ratio_row([(x.numerator, x.denominator) for x in row]) for row in rows]
+        return cls._of(source, target, degree, row_keys, col_keys, int_rows)
+
+    @classmethod
+    def _of(cls, source, target, degree, row_keys, col_keys, int_rows) -> "TransitionMatrix":
+        """The matrix of rows already in the stored form."""
+        self = object.__new__(cls)
         self.source = source
         self.target = target
         self.degree = degree
         self.row_keys = tuple(row_keys)
         self.col_keys = tuple(col_keys)
-        self.rows = tuple(tuple(row) for row in rows)
-        if len(self.rows) != len(self.row_keys) or any(
-            len(r) != len(self.col_keys) for r in self.rows
-        ):
-            raise ValueError("matrix shape does not match key lists")
+        self.int_rows = tuple(int_rows)
         self._index = {k: i for i, k in enumerate(self.row_keys)}
-        self._ints = {}  # row key -> (nonzero (column, numerator) pairs, denominator)
+        self._view = None  # rows as Fractions
         self._strs = None  # rows as canonical fraction strings
         self._sum = None  # checksum of payload()
         self._text = None
+        return self
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense rows as Fractions, read-only; built once, on first read."""
+        if self._view is None:
+            expansions = map(self.expand, self.row_keys)
+            self._view = tuple(tuple(v[c] for c in self.col_keys) for v in expansions)
+        return self._view
 
     def expand(self, key) -> FockVector:
-        return FockVector(zip(self.col_keys, self.rows[self._index[key]]))
+        pairs, d = self.int_rows[self._index[key]]
+        cols = self.col_keys
+        return FockVector._wrap({cols[j]: Fraction(x, d) for j, x in pairs})
 
     def apply(self, v: FockVector) -> FockVector:
-        """Image of a vector in source-basis coordinates, summed in integers per column (rows scaled once)."""
-        terms = []
-        for key, c in v.items():
-            if key not in self._ints:
-                (row,), d = _integer_rows((self.rows[self._index[key]],))
-                self._ints[key] = ([(j, x) for j, x in enumerate(row) if x], d)
-            terms.append((c, self._ints[key]))
-        acc, den = _combine(terms, len(self.col_keys))
+        """Image of a vector in source-basis coordinates, summed in integers per column."""
+        rows, index = self.int_rows, self._index
+        acc, den = _combine([(c, rows[index[k]]) for k, c in v.items()], len(self.col_keys))
         cols = self.col_keys
         return FockVector._wrap({cols[j]: Fraction(x, den) for j, x in enumerate(acc) if x})
 
     def __matmul__(self, other: "TransitionMatrix") -> "TransitionMatrix":
         """The product, from self's source to other's target; self's columns must be other's rows.
 
-        other is scaled to integers once per call, and each row of the
-        product is one ``_combine`` of other's rows.
+        Each row of the product is one ``_combine`` of other's rows.
         """
         if self.col_keys != other.row_keys:
             raise ValueError("the column keys of the left factor are not the row keys of the right")
-        ints, d = _integer_rows(other.rows)
-        right = [([(j, x) for j, x in enumerate(row) if x], d) for row in ints]
+        right, width = other.int_rows, len(other.col_keys)
         rows = []
-        for row in self.rows:
-            acc, den = _combine([(c, right[k]) for k, c in enumerate(row) if c], len(other.col_keys))
-            rows.append([Fraction(x, den) if x else _ZERO for x in acc])
-        return TransitionMatrix(
+        for pairs, d in self.int_rows:
+            acc, den = _combine([(x, right[k]) for k, x in pairs], width)
+            rows.append(_stored_row(acc, den * d))
+        return TransitionMatrix._of(
             self.source, other.target, self.degree, self.row_keys, other.col_keys, rows
         )
 
@@ -224,13 +239,20 @@ class TransitionMatrix:
             and self.degree == other.degree
             and self.row_keys == other.row_keys
             and self.col_keys == other.col_keys
-            and self.rows == other.rows
+            and self.int_rows == other.int_rows
         )
 
     def entry_strings(self) -> tuple[tuple[str, ...], ...]:
         """The rows as canonical fraction strings; made once, or kept from a loaded document."""
         if self._strs is None:
-            self._strs = tuple(tuple([str(x) for x in row]) for row in self.rows)
+            strs = []
+            for pairs, d in self.int_rows:
+                row = ["0"] * len(self.col_keys)
+                for j, x in pairs:
+                    g = gcd(x, d)
+                    row[j] = str(x // g) if g == d else f"{x // g}/{d // g}"
+                strs.append(tuple(row))
+            self._strs = tuple(strs)
         return self._strs
 
     def _head(self) -> dict:
@@ -267,7 +289,7 @@ class TransitionMatrix:
         """
         if self._text is None:
             doc = self.to_json_doc()
-            doc["rows"] = [None] if self.rows else []
+            doc["rows"] = [None] if self.int_rows else []
             head, _, tail = json.dumps(doc, indent=2).rpartition("    null")
             body = ",\n".join(
                 ['    [\n      "' + '",\n      "'.join(row) + '"\n    ]' if row else "    []"
@@ -289,14 +311,11 @@ class TransitionMatrix:
             raise CacheError("checksum mismatch")
         rows = doc["rows"]
         parsed, canonical = _parse_entries(rows)
-        matrix = cls(
-            doc["source"],
-            doc["target"],
-            doc["n"],
-            [key_from_obj(doc["source"], o) for o in doc["key_order"]["rows"]],
-            [key_from_obj(doc["target"], o) for o in doc["key_order"]["cols"]],
-            [[parsed[x] for x in row] for row in rows],
-        )
+        row_keys = [key_from_obj(doc["source"], o) for o in doc["key_order"]["rows"]]
+        col_keys = [key_from_obj(doc["target"], o) for o in doc["key_order"]["cols"]]
+        _check_shape(rows, row_keys, col_keys)
+        int_rows = [_ratio_row([parsed[x] for x in row]) for row in rows]
+        matrix = cls._of(doc["source"], doc["target"], doc["n"], row_keys, col_keys, int_rows)
         if canonical:
             matrix._strs = tuple(map(tuple, rows))
             del payload["rows"]
@@ -310,25 +329,30 @@ class TransitionMatrix:
 
 
 def _parse_entries(rows) -> tuple[dict, bool]:
-    """Each distinct entry of the rows -> its Fraction, and whether all are canonical strings.
+    """Each distinct entry of the rows -> its lowest terms, and whether all are canonical strings.
 
     A canonical string (the str of its Fraction) is read through int();
     any other entry goes to Fraction itself, which raises for a bad one.
     """
-    parsed = {"0": _ZERO}
+    parsed = {"0": (0, 1)}
     canonical = True
     for x in set().union(*rows) - {"0"}:
         try:
             num, slash, den = x.partition("/")
             f = Fraction(int(num), int(den)) if slash else Fraction(int(num))
             if str(f) == x:
-                parsed[x] = f
+                parsed[x] = f.as_integer_ratio()
                 continue
         except (AttributeError, ValueError, ZeroDivisionError):
             pass
-        parsed[x] = Fraction(x)
+        parsed[x] = Fraction(x).as_integer_ratio()
         canonical = False
     return parsed, canonical
+
+
+def _check_shape(rows, row_keys, col_keys) -> None:
+    if len(rows) != len(row_keys) or any(len(r) != len(col_keys) for r in rows):
+        raise ValueError("matrix shape does not match key lists")
 
 
 def _canonical_json(payload: dict) -> str:
@@ -354,70 +378,63 @@ def _checksum(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 # curve basis in the operator basis
 
-_B3_IN_B2: dict[tuple[IncidencePair, bool], FockVector] = {}
-
-
 def b3_in_b2(pair: IncidencePair, *, smallest_shared: bool = False) -> FockVector:
-    """Expansion of a curve-basis key in the operator basis.
+    """Expansion of a curve-basis key in the operator basis: its row of A."""
+    n = pair.lam.size
+    return (b3_in_b2_matrix(n, True) if smallest_shared else b3_in_b2_matrix(n)).expand(pair)
 
-    Double induction: the size-0 key is the vacuum; for a one-part lam
-    the two keys are the pure translate (n, empty) and the difference
-    (0, (n)) - (n, empty); otherwise pick the largest part shared by
-    lam and mu (the smallest with ``smallest_shared=True``; the result
-    is independent of the choice), strip one copy from both, apply the
-    curve-basis creation operator to the stripped key and solve for
-    the target term.  Absorption terms are translates of the stripped
-    key and are expanded via the translation operator; all remaining
-    terms have shorter lam and recurse.  The terms are summed in
-    integers and divided by the target coefficient once.
+
+@lru_cache(maxsize=None)
+def b3_in_b2_matrix(n: int, smallest_shared: bool = False) -> TransitionMatrix:
+    """Curve basis in the operator basis, A, by a double induction on size and length.
+
+    The size-0 key is the vacuum; for a one-part lam the two keys are the
+    pure translate (n, empty) and the difference (0, (n)) - (n, empty).
+    Any other row, in order of increasing length of lam: pick the largest
+    part m shared by lam and mu (the smallest with ``smallest_shared=True``;
+    A is independent of the choice), strip one copy from both, apply the
+    curve-basis creation operator to the stripped key and solve for the
+    target term.  a_-m and the absorption term, the m-fold translate of the
+    stripped key, map the columns of the stripped key's row of degree
+    n - m; all remaining terms have shorter lam and are rows built before.
+    Each row is one ``_combine`` divided by the target coefficient.
     """
-    memo_key = (pair, smallest_shared)
-    hit = _B3_IN_B2.get(memo_key)
-    if hit is not None:
-        return hit
-
-    lam, mu = pair.lam, pair.mu
-    n = lam.size
-    if n == 0:
-        result = FockVector.unit(B2Key(0, Partition()))
-    elif lam.length == 1:
-        if mu.length == 1:
-            result = FockVector.unit(B2Key(n, Partition()))
-        else:
-            result = FockVector.unit(B2Key(0, lam)) - FockVector.unit(B2Key(n, Partition()))
-    else:
-        shared = sorted(set(lam.parts) & set(mu.parts))
-        if not shared:
-            raise RuntimeError(f"no shared part for {pair}")
-        m = shared[0] if smallest_shared else shared[-1]
+    cols = {k: j for j, k in enumerate(operator_keys(n))}
+    tables = {}  # m -> a_-m and t^m on each column of degree n - m, as _combine terms
+    built = {}
+    for pair in sorted(pair_keys(n), key=lambda p: p.lam.length):
+        lam, mu = pair
+        if lam.length <= 1:  # column 0 is (n, empty), the vacuum at n = 0
+            built[pair] = (((0, 1),) if mu.length == 1 else ((0, -1), (cols[B2Key(0, lam)], 1)), 1)
+            continue
+        m = sorted(set(lam.parts) & set(mu.parts))[0 if smallest_shared else -1]
         src = IncidencePair(remove_part(lam, m), remove_part(mu, m))
-        src_exp = b3_in_b2(src, smallest_shared=smallest_shared)
+        # the default choice always reads b3_in_b2_matrix(k), one memo entry per degree
+        below = b3_in_b2_matrix(n - m, True) if smallest_shared else b3_in_b2_matrix(n - m)
+        if m not in tables:
+            units = [FockVector.unit(k) for k in below.col_keys]
+            tables[m] = [
+                [([(cols[q], int(c)) for q, c in op(u).items()], 1) for u in units]
+                for op in (lambda u: creation(m, u), lambda u: translate_pow(u, m))
+            ]
+        create, shift = tables[m]
         terms = create_b3(m, FockVector.unit(src))
-        target_coeff = terms[pair]
-        if not target_coeff:
+        target = int(terms[pair])
+        if not target:
             raise RuntimeError(f"target {pair} missing from expansion of {src}")
+        word, d = below.int_rows[below._index[src]]
         absorption = translate_b3_pow(src, m)
-        coeffs, vectors = [Fraction(1)], [creation(m, src_exp)]
+        parts = [(x, create[j]) for j, x in word]  # over d, so the other rows are scaled by d
         for q, c in terms.items():
-            if q == pair:
-                continue
-            coeffs.append(-c)
+            c = -int(c)
             if q == absorption:
-                vectors.append(translate_pow(src_exp, m))
-            else:
-                vectors.append(b3_in_b2(q, smallest_shared=smallest_shared))
-        # sum_q coeffs_q vectors_q in integers, then one division by the target
-        (ints,), d_c = _integer_rows((coeffs,))
-        rows, d_v = _integer_rows([[x for _, x in v.items()] for v in vectors])
-        acc: dict = {}
-        for c, v, row in zip(ints, vectors, rows):
-            for k, x in zip(v.keys(), row):
-                acc[k] = acc.get(k, 0) + c * x
-        num, den = target_coeff.denominator, d_c * d_v * target_coeff.numerator
-        result = FockVector({k: Fraction(x * num, den) for k, x in acc.items() if x})
-
-    _B3_IN_B2[memo_key] = result
-    return result
+                parts += [(c * x, shift[j]) for j, x in word]
+            elif q != pair:
+                parts.append((c * d, built[q]))
+        acc, den = _combine(parts, len(cols))
+        built[pair] = _stored_row(acc, den * d * target)
+    rows = [built[p] for p in pair_keys(n)]
+    return TransitionMatrix._of("b3", "b2", n, pair_keys(n), operator_keys(n), rows)
 
 
 def _expansion_matrix(source, target, n, row_keys, col_keys, expand) -> TransitionMatrix:
@@ -427,11 +444,6 @@ def _expansion_matrix(source, target, n, row_keys, col_keys, expand) -> Transiti
         exp = expand(k)
         rows.append([exp[c] for c in col_keys])
     return TransitionMatrix(source, target, n, row_keys, col_keys, rows)
-
-
-@lru_cache(maxsize=None)
-def b3_in_b2_matrix(n: int) -> TransitionMatrix:
-    return _expansion_matrix("b3", "b2", n, pair_keys(n), operator_keys(n), b3_in_b2)
 
 
 def _gram(a: TransitionMatrix, weight) -> tuple[tuple[Fraction, ...], ...]:
@@ -483,14 +495,17 @@ def _gram_solve(keys, sort_key, gram, diagonal, weight):
     return m
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Rows of Fractions as (N, d): integer rows N over one common denominator d.
+def _stored_row(acc: list[int], den: int) -> tuple[tuple, int]:
+    """The row acc / den in the stored form of ``TransitionMatrix.int_rows``; den > 0."""
+    pairs = [(j, x) for j, x in enumerate(acc) if x]
+    g = gcd(den, *[x for _, x in pairs])
+    return tuple((j, x // g) for j, x in pairs) if g > 1 else tuple(pairs), den // g
 
-    d is the least common multiple of the entries' denominators, so
-    rows = N / d exactly.
-    """
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+def _ratio_row(entries) -> tuple[tuple, int]:
+    """The stored form of a dense row of (numerator, denominator) pairs."""
+    d = lcm(*[q for _, q in entries])
+    return _stored_row([p * (d // q) for p, q in entries], d)
 
 
 def _combine(terms, width: int) -> tuple[list[int], int]:
@@ -519,7 +534,7 @@ def b2_in_b3(n: int) -> TransitionMatrix:
     Each operator is tabulated once on the pairs it acts on.
     """
     if not n:
-        return TransitionMatrix("b2", "b3", 0, operator_keys(0), pair_keys(0), [[_ONE]])
+        return TransitionMatrix("b2", "b3", 0, operator_keys(0), pair_keys(0), [[1]])
     cols = {p: j for j, p in enumerate(pair_keys(n))}
     tables = {}  # m -> (column, coefficient) pairs of each image under a_-m, or t for m = 0
     rows = []
@@ -530,10 +545,11 @@ def b2_in_b3(n: int) -> TransitionMatrix:
             units = map(FockVector.unit, below.col_keys)
             images = (create_b3(m, u) if m else translate_b3_linear(u) for u in units)
             tables[m] = [([(cols[q], int(c)) for q, c in v.items()], 1) for v in images]
-        word = below.rows[below._index[B2Key(i - 1, nu) if i else B2Key(0, remove_part(nu, m))]]
-        acc, den = _combine([(x, tables[m][j]) for j, x in enumerate(word) if x], len(cols))
-        rows.append([Fraction(x, den) if x else _ZERO for x in acc])
-    return TransitionMatrix("b2", "b3", n, operator_keys(n), pair_keys(n), rows)
+        word_key = B2Key(i - 1, nu) if i else B2Key(0, remove_part(nu, m))
+        word, d = below.int_rows[below._index[word_key]]
+        acc, den = _combine([(x, tables[m][j]) for j, x in word], len(cols))
+        rows.append(_stored_row(acc, den * d))
+    return TransitionMatrix._of("b2", "b3", n, operator_keys(n), pair_keys(n), rows)
 
 
 @lru_cache(maxsize=None)
@@ -566,11 +582,12 @@ def b2_in_b1(n: int) -> TransitionMatrix:
     h(lam) chi^lam(nu) / h(lam, mu) at [lam, mu].
     """
     pairs = pair_keys(n)
-    rows = list((b2_in_b1(n - 1) @ _translation(n - 1)).rows) if n else []
-    scale = [(p.lam, hook_product(p.lam), h_pair(p)) for p in pairs]
+    rows = list((b2_in_b1(n - 1) @ _translation(n - 1)).int_rows) if n else []
+    den = lcm(*map(h_pair, pairs))
+    scale = [(p.lam, hook_product(p.lam) * (den // h_pair(p))) for p in pairs]
     for nu in partition_keys(n):
-        rows.append([Fraction(hk * character(lam, nu), h) for lam, hk, h in scale])
-    return TransitionMatrix("b2", "b1", n, operator_keys(n), pairs, rows)
+        rows.append(_stored_row([s * character(lam, nu) for lam, s in scale], den))
+    return TransitionMatrix._of("b2", "b1", n, operator_keys(n), pairs, rows)
 
 
 @lru_cache(maxsize=None)
@@ -586,13 +603,16 @@ def _transport_inverse(x: TransitionMatrix, row_weight, col_weight) -> Transitio
     W_c = diag(col_weight) over the column keys of X, makes the rescaled
     transpose the inverse.
     """
-    r = [row_weight(k) for k in x.row_keys]
-    cols = zip(*x.rows) if x.rows else [()] * len(x.col_keys)
+    cols = [[(0, 1)] * len(x.row_keys) for _ in x.col_keys]  # X^T W_r^-1 as (num, den) pairs
+    for k, (pairs, d) in enumerate(x.int_rows):
+        w = Fraction(row_weight(x.row_keys[k]))
+        for t, e in pairs:
+            cols[t][k] = (e * w.denominator, d * w.numerator)
     rows = [
-        [Fraction(c * e.numerator, e.denominator * rj) if e else _ZERO for e, rj in zip(col, r)]
-        for c, col in zip(map(col_weight, x.col_keys), cols)
+        _ratio_row([(c.numerator * p, c.denominator * q) for p, q in col])
+        for c, col in zip(map(Fraction, map(col_weight, x.col_keys)), cols)
     ]
-    return TransitionMatrix(x.target, x.source, x.degree, x.col_keys, x.row_keys, rows)
+    return TransitionMatrix._of(x.target, x.source, x.degree, x.col_keys, x.row_keys, rows)
 
 
 @lru_cache(maxsize=None)

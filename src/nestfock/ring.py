@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter, mul
 
-from .basis_change import _integer_rows, b1_in_b2, b2_in_b1, pair_keys
+from .basis_change import b1_in_b2, b2_in_b1, pair_keys
 from .fock import B2Key, FockVector, b2_degree, vector_degree
 from .incidence import IncidencePair, derive_lambda, h_pair
 from .partitions import Partition, add_corner, canonical_generators, hook_product, z_factor
@@ -87,14 +87,21 @@ def star_tilde(v: FockVector, w: FockVector) -> FockVector:
 def _contraction_data(n: int):
     """Degree-n data of the operator-basis product contraction.
 
-    B = b2_in_b1(n) is stored as N / D with N integral: the operator
+    B = b2_in_b1(n) is written as N / D with N integral, D the least
+    common multiple of the denominators of its integer rows: the operator
     keys and their index, the dense rows N_a, h(t)^2 per fixed point t,
     the denominators z(c) D^3 per operator key c, the key indices by
     creation length and the memo of S keyed by sorted triple, which
     lives as long as this entry.
     """
     b = b2_in_b1(n)
-    nums, den = _integer_rows(b.rows)
+    den = lcm(*[d for _, d in b.int_rows])
+    nums = []
+    for pairs, d in b.int_rows:
+        row = [0] * len(b.col_keys)
+        for j, x in pairs:
+            row[j] = x * (den // d)
+        nums.append(row)
     keys = b.row_keys
     h2 = tuple(h_pair(p) ** 2 for p in b.col_keys)
     denoms = tuple(z_factor(k.nu) * den**3 for k in keys)

@@ -14,17 +14,15 @@ def clear_memos():
     """Empty every memo of the matrix, product, symmetric-function, incidence
     and partition modules.
 
-    That includes memoized methods such as ``Partition.conjugate`` and the
-    plain-dict memo ``_B3_IN_B2`` of ``basis_change``.  A test that monkeypatches a
-    matrix function calls this before and after, so no matrix built from
-    the patched function outlives the test.
+    That includes memoized methods such as ``Partition.conjugate``.  A test
+    that monkeypatches a matrix function calls this before and after, so no
+    matrix built from the patched function outlives the test.
     """
     for module in (basis_change, ring, symfunc, incidence, partitions):
         for obj in vars(module).values():
             for memo in (obj, *vars(obj).values()) if isinstance(obj, type) else (obj,):
                 if hasattr(memo, "cache_clear"):
                     memo.cache_clear()
-    basis_change._B3_IN_B2.clear()
 
 
 def child_env(env_extra=None):

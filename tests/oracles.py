@@ -5,8 +5,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from nestfock.basis_change import operator_keys, pair_keys
-from nestfock.curve_classes import add_part, create_b3
-from nestfock.fock import FockVector, hilb_creation
+from nestfock.curve_classes import add_part, create_b3, translate_b3_pow
+from nestfock.fock import B2Key, FockVector, creation, hilb_creation, translate_pow
 from nestfock.incidence import IncidencePair
 from nestfock.partitions import Cell, Corner, Partition, remove_part
 from nestfock.ring import star_b1, star_tilde
@@ -72,6 +72,40 @@ def hilb_L_in_p_recursive(lam: Partition) -> FockVector:
         if q != lam:
             acc = acc - c * hilb_L_in_p_recursive(q)
     return acc * Fraction(1, terms[lam])
+
+
+@lru_cache(maxsize=None)
+def b3_in_b2_recursive(pair: IncidencePair, smallest_shared: bool = False) -> FockVector:
+    """Curve-basis key in the operator basis, by a per-key recursion on vectors.
+
+    Double induction: the size-0 key is the vacuum; for a one-part lam
+    the two keys are the pure translate (n, empty) and the difference
+    (0, (n)) - (n, empty); otherwise strip one copy of the largest part
+    shared by lam and mu (the smallest with ``smallest_shared``), apply
+    the curve-basis creation operator to the stripped key and solve for
+    the target term.  The absorption term is the m-fold translate of the
+    stripped key; all remaining terms have shorter lam and recurse.
+    """
+    lam, mu = pair.lam, pair.mu
+    n = lam.size
+    if n == 0:
+        return FockVector.unit(B2Key(0, Partition()))
+    if lam.length == 1:
+        top = FockVector.unit(B2Key(n, Partition()))
+        return top if mu.length == 1 else FockVector.unit(B2Key(0, lam)) - top
+    shared = sorted(set(lam.parts) & set(mu.parts))
+    m = shared[0] if smallest_shared else shared[-1]
+    src = IncidencePair(remove_part(lam, m), remove_part(mu, m))
+    src_exp = b3_in_b2_recursive(src, smallest_shared)
+    terms = create_b3(m, FockVector.unit(src))
+    absorption = translate_b3_pow(src, m)
+    acc = creation(m, src_exp)
+    for q, c in terms.items():
+        if q == absorption:
+            acc = acc - c * translate_pow(src_exp, m)
+        elif q != pair:
+            acc = acc - c * b3_in_b2_recursive(q, smallest_shared)
+    return acc * Fraction(1, terms[pair])
 
 
 def create_b3_uncorrected(m: int, v: FockVector) -> FockVector:

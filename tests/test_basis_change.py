@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env, clear_memos
-from oracles import hilb_L_in_p_recursive, transition_json_text
+from oracles import b3_in_b2_recursive, hilb_L_in_p_recursive, transition_json_text
 from nestfock import basis_change, ring, symfunc
 from nestfock.basis_change import (
     CacheError,
@@ -125,6 +126,13 @@ class TestCurveInOperator:
         for n in range(6):
             for p in pair_keys(n):
                 assert b3_in_b2(p) == b3_in_b2(p, smallest_shared=True)
+
+    @pytest.mark.parametrize("smallest_shared", [False, True])
+    @pytest.mark.parametrize("n", range(9))
+    def test_rows_match_the_per_key_recursion(self, n, smallest_shared):
+        mat = b3_in_b2_matrix(n, smallest_shared)
+        for p in pair_keys(n):
+            assert mat.expand(p) == b3_in_b2_recursive(p, smallest_shared), p
 
     def test_matrix_invertible(self):
         for n in range(6):
@@ -288,6 +296,41 @@ class TestIntegerKernels:
         want = mat_mul(rows_of(a), rows_of(b)) if k else [[Fraction(0)] * c for _ in range(r)]
         assert rows_of(product) == want
         assert only_fractions(product.rows)
+
+    @given(data=st.data(), shape=st.tuples(*[st.integers(0, 5)] * 3))
+    @settings(max_examples=50, deadline=None)
+    def test_stored_rows_are_canonical(self, data, shape):
+        """A product equals, and renders as, the matrix the constructor builds from its view."""
+        r, k, c = shape
+        keys = lambda size: [P([j + 1]) for j in range(size)]  # rendered by as_list
+        a = TransitionMatrix("p", "q", 0, keys(r), keys(k), data.draw(matrices(r, k)))
+        b = TransitionMatrix("q", "s", 0, keys(k), keys(c), data.draw(matrices(k, c)))
+        product = a @ b
+        rebuilt = TransitionMatrix("p", "s", 0, keys(r), keys(c), product.rows)
+        assert product == rebuilt
+        assert product.json_text() == rebuilt.json_text()
+        for pairs, d in product.int_rows:
+            assert [j for j, _ in pairs] == sorted({j for j, _ in pairs})
+            assert all(x for _, x in pairs) and d > 0
+            assert math.gcd(d, *[x for _, x in pairs]) == 1
+
+    def test_unreduced_sums_are_stored_reduced(self):
+        """Sums whose integers share a factor with their denominator, and sums that cancel to 0."""
+        half = Fraction(1, 2)
+        a = TransitionMatrix("x", "y", 0, [0, 1], [0, 1], [[half, half], [half, -half]])
+        b = TransitionMatrix("y", "z", 0, [0, 1], [0, 1], [[2, 4], [2, 4]])
+        product = a @ b
+        assert product.int_rows == ((((0, 2), (1, 4)), 1), ((), 1))
+        assert product == TransitionMatrix("x", "z", 0, [0, 1], [0, 1], [[2, 4], [0, 0]])
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_kernel_matrices_are_canonical(self, n):
+        built = [transition_matrix(*route, n) for route in ROUTES]
+        built += [b3_in_b2_matrix(n, True), hilb_L_in_fixed(n), hilb_p_in_fixed(n)]
+        for mat in built:
+            rebuilt = TransitionMatrix(mat.source, mat.target, n, mat.row_keys, mat.col_keys, mat.rows)
+            assert mat == rebuilt
+            assert mat.json_text() == rebuilt.json_text()
 
     def test_matmul_of_empty_matrices(self):
         empty = TransitionMatrix("x", "x", 0, [], [], [])
@@ -657,6 +700,8 @@ class TestCache:
         cache_store(mat, tmp_path)
         loaded = cache_load("b2", "b1", 3, tmp_path)
         assert loaded == mat
+        assert loaded.json_text() == mat.json_text()
+        assert loaded._view is None  # a load and its render build no Fraction view
 
     def test_tampered_checksum_rejected(self, tmp_path):
         path = cache_store(b2_in_b1(1), tmp_path)

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from conftest import child_env, clear_memos, run_cli
-from nestfock import basis_change
 from nestfock.verify import run_suite
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -90,10 +89,3 @@ def test_clear_memos_empties_every_memo_of_the_package():
     assert {"Partition.conjugate", "canonical_generators", "_pullback_image"} <= names
     clear_memos()
     assert [m.__qualname__ for m in memos if m.cache_info().currsize] == []
-
-
-def test_clear_memos_empties_the_dict_memos_of_basis_change():
-    assert all(r.ok for r in run_suite("phi", 3) + run_suite("roundtrip", 3))
-    assert basis_change._B3_IN_B2
-    clear_memos()
-    assert basis_change._B3_IN_B2 == {}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import clear_memos
 from oracles import product_table_by_pairs
-from nestfock import basis_change, cli, fock, ring, verify
+from nestfock import basis_change, cli, fock, ring, symfunc, verify
 from nestfock.basis_change import (
     TransitionMatrix,
     _gram,
@@ -27,7 +27,7 @@ from nestfock.basis_change import (
     pair_keys,
 )
 from nestfock.curve_classes import add_part, create_b3
-from nestfock.fock import B2Key, FockVector, loop_action
+from nestfock.fock import B2Key, FockVector, loop_action, translate_pow
 from nestfock.incidence import IncidencePair, h_pair
 from nestfock.partitions import Partition, z_factor
 from nestfock.ring import pullback_f, pullback_g
@@ -268,28 +268,50 @@ class TestSuiteRoundtrip:
             monkeypatch.undo()
             clear_memos()
 
+    def test_doubled_absorption_term_of_the_curve_recursion_is_caught(self, monkeypatch):
+        """The m-fold translate in the rows of A doubled fails the roundtrip from degree 2 on.
+
+        The absorption term first enters A at degree 2, through the row of
+        ([1, 1], [2, 1]); every later degree strips down to such a row.
+        """
+        clear_memos()
+        try:
+            monkeypatch.setattr(basis_change, "translate_pow", lambda v, j: 2 * translate_pow(v, j))
+            results = verify.suite_roundtrip(4)
+            assert results[4].name.startswith("b2_in_b3 * b3_in_b2 = Id")
+            assert json.loads(results[4].detail) == [{"degree": 2}, {"degree": 3}, {"degree": 4}]
+            assert results[1].name.startswith("b3_in_b1 triangular")
+            assert json.loads(results[1].detail)[0]["degree"] == 2
+        finally:
+            monkeypatch.undo()
+            clear_memos()
+
 
 class TestSuitePhi:
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
-    def test_scaled_curve_row_is_caught_at_its_degree(self, degree):
-        """A row of the memoized hilb_L_in_p_matrix doubled fails the monomial check there only.
+    def test_scaled_curve_row_is_caught_at_its_degree(self, degree, monkeypatch):
+        """A row of hilb_L_in_p_matrix doubled fails the monomial check there only.
 
-        m_in_p reads the same rows, so it doubles too: only the counted
-        p -> m matrix can tell.
+        The doubled matrix is installed wherever hilb_L_in_p_matrix is read,
+        so m_in_p doubles too: only the counted p -> m matrix can tell.
         """
         name = "curve classes map to monomial functions"
         for a, lam in enumerate(partition_keys(degree)):
             clear_memos()
             try:
                 mat = hilb_L_in_p_matrix(degree)
-                mat.rows = tuple(
-                    tuple(2 * x for x in row) if b == a else row for b, row in enumerate(mat.rows)
-                )
+                rows = [list(r) for r in mat.rows]
+                rows[a] = [2 * x for x in rows[a]]
+                doubled = with_rows(mat, rows)
+                fake = lambda m: doubled if m == degree else hilb_L_in_p_matrix(m)
+                for module in (basis_change, symfunc, verify):
+                    monkeypatch.setattr(module, "hilb_L_in_p_matrix", fake)
                 assert m_in_p(lam) == 2 * hilb_L_in_p(lam)
                 (res,) = [r for r in verify.suite_phi(5) if r.name.startswith(name)]
                 assert not res.ok
                 assert json.loads(res.detail) == [{"lambda": lam.as_list()}]
             finally:
+                monkeypatch.undo()
                 clear_memos()
 
     def test_extra_creation_term_in_the_incidence_curve_recursion_is_caught(self, monkeypatch):
