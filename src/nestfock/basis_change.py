@@ -19,11 +19,12 @@ and a relabelling of curve keys.  Every other route is a product ``@``
 or the transpose rescaled by the pairing-transport law B H B^T = Z:
 M = A B, C = B^-1 = H B^T Z^-1 and M^-1 = C A^-1.  All arithmetic is
 exact and in integers: a matrix stores each row as its nonzero integers
-over one denominator, and A, B, A^-1, ``@`` and ``apply`` build every
-row by one loop, ``_combine``, over such rows.  No route solves or
-inverts a matrix: the Gram solve of A Z A^T = M H M^T, the Gauss-Jordan
-``mat_inv`` and the dense ``mat_mul`` stay only as oracles for verify
-and the tests.
+over one denominator, every builder makes its rows in that form from
+their nonzero entries alone (``_ratio_row`` and ``_stored_row``), and A,
+B, A^-1, ``@`` and ``apply`` sum rows by one loop, ``_combine``.  No
+route solves, inverts or builds a dense row: the Gram solve of
+A Z A^T = M H M^T, the Gauss-Jordan ``mat_inv`` and the dense ``mat_mul``
+stay only as oracles for verify and the tests.
 
 The Hilbert side is read off the incidence side: the n-point curve class
 L_lam in the creation basis is the slice (0, nu) of the incidence curve
@@ -31,11 +32,11 @@ class (lam, lam + (1)) in the operator basis, read as nu.  The fixed
 class of lam is h(lam) s_lam, so the fixed classes in the creation basis
 (F) come from the character table, F^-1 is the rescaled transpose, and
 the curve classes in the fixed classes are L F^-1.  Both sides run
-through the same helpers:
-``_expansion_matrix`` (n-point curve classes, row by row), ``@``,
-``_transport_inverse`` (the rescaled transpose) and ``_conjugated`` (an
-operator carried into fixed-point coordinates, built once per index and
-degree as a matrix).
+through the same helpers: ``_expansion_matrix`` (the one builder of
+operator tables: curve classes, p -> m, conjugated operators and the
+a_-m and t^m tables of A and A^-1), ``@``, ``_transport_inverse`` (the
+rescaled transpose) and ``_conjugated`` (an operator carried into
+fixed-point coordinates, built once per index and degree as a matrix).
 
 Degree-level matrices can be persisted as JSON documents with a
 checksum; a version mismatch is a cache miss, a corrupted file is an
@@ -123,10 +124,6 @@ def mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def identity_rows(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # key books
 
@@ -163,7 +160,8 @@ class TransitionMatrix:
     as (nonzero (column, numerator) pairs in ascending column order,
     denominator), the denominator being the least common multiple of the
     row's reduced denominators.  The form is canonical, so equality is
-    exact; ``rows`` is a Fraction view of it, built on first read.
+    exact.  Every builder hands ``_of`` such rows; the constructor's dense
+    rows and the Fraction view ``rows``, built on first read, serve users and tests.
     """
 
     __slots__ = (
@@ -175,7 +173,7 @@ class TransitionMatrix:
         """The matrix of dense rows of ints or Fractions, one per row key."""
         rows = [tuple(row) for row in rows]
         _check_shape(rows, row_keys, col_keys)
-        int_rows = [_ratio_row([(x.numerator, x.denominator) for x in row]) for row in rows]
+        int_rows = [_ratio_row([(j, x.numerator, x.denominator) for j, x in enumerate(r)]) for r in rows]
         return cls._of(source, target, degree, row_keys, col_keys, int_rows)
 
     @classmethod
@@ -226,7 +224,7 @@ class TransitionMatrix:
         rows = []
         for pairs, d in self.int_rows:
             acc, den = _combine([(x, right[k]) for k, x in pairs], width)
-            rows.append(_stored_row(acc, den * d))
+            rows.append(_stored_row(enumerate(acc), den * d))
         return TransitionMatrix._of(
             self.source, other.target, self.degree, self.row_keys, other.col_keys, rows
         )
@@ -314,7 +312,7 @@ class TransitionMatrix:
         row_keys = [key_from_obj(doc["source"], o) for o in doc["key_order"]["rows"]]
         col_keys = [key_from_obj(doc["target"], o) for o in doc["key_order"]["cols"]]
         _check_shape(rows, row_keys, col_keys)
-        int_rows = [_ratio_row([parsed[x] for x in row]) for row in rows]
+        int_rows = [_ratio_row([(j, *parsed[x]) for j, x in enumerate(row) if x != "0"]) for row in rows]
         matrix = cls._of(doc["source"], doc["target"], doc["n"], row_keys, col_keys, int_rows)
         if canonical:
             matrix._strs = tuple(map(tuple, rows))
@@ -380,11 +378,9 @@ def _checksum(payload: dict) -> str:
 
 def b3_in_b2(pair: IncidencePair, *, smallest_shared: bool = False) -> FockVector:
     """Expansion of a curve-basis key in the operator basis: its row of A."""
-    n = pair.lam.size
-    return (b3_in_b2_matrix(n, True) if smallest_shared else b3_in_b2_matrix(n)).expand(pair)
+    return b3_in_b2_matrix(pair.lam.size, smallest_shared).expand(pair)
 
 
-@lru_cache(maxsize=None)
 def b3_in_b2_matrix(n: int, smallest_shared: bool = False) -> TransitionMatrix:
     """Curve basis in the operator basis, A, by a double induction on size and length.
 
@@ -399,23 +395,27 @@ def b3_in_b2_matrix(n: int, smallest_shared: bool = False) -> TransitionMatrix:
     n - m; all remaining terms have shorter lam and are rows built before.
     Each row is one ``_combine`` divided by the target coefficient.
     """
-    cols = {k: j for j, k in enumerate(operator_keys(n))}
-    tables = {}  # m -> a_-m and t^m on each column of degree n - m, as _combine terms
+    return _curve_matrix(n, bool(smallest_shared))
+
+
+@lru_cache(maxsize=None)
+def _curve_matrix(n: int, smallest_shared: bool) -> TransitionMatrix:
+    keys = operator_keys(n)
+    tables = {}  # m -> the rows of a_-m and of t^m on each column of degree n - m
     built = {}
     for pair in sorted(pair_keys(n), key=lambda p: p.lam.length):
         lam, mu = pair
         if lam.length <= 1:  # column 0 is (n, empty), the vacuum at n = 0
-            built[pair] = (((0, 1),) if mu.length == 1 else ((0, -1), (cols[B2Key(0, lam)], 1)), 1)
+            built[pair] = (((0, 1),) if mu.length == 1 else ((0, -1), (keys.index(B2Key(0, lam)), 1)), 1)
             continue
         m = sorted(set(lam.parts) & set(mu.parts))[0 if smallest_shared else -1]
         src = IncidencePair(remove_part(lam, m), remove_part(mu, m))
-        # the default choice always reads b3_in_b2_matrix(k), one memo entry per degree
-        below = b3_in_b2_matrix(n - m, True) if smallest_shared else b3_in_b2_matrix(n - m)
+        below = b3_in_b2_matrix(n - m, smallest_shared)
         if m not in tables:
-            units = [FockVector.unit(k) for k in below.col_keys]
+            unit = FockVector.unit
             tables[m] = [
-                [([(cols[q], int(c)) for q, c in op(u).items()], 1) for u in units]
-                for op in (lambda u: creation(m, u), lambda u: translate_pow(u, m))
+                _expansion_matrix("b2", "b2", n - m, below.col_keys, keys, op).int_rows
+                for op in (lambda k: creation(m, unit(k)), lambda k: translate_pow(unit(k), m))
             ]
         create, shift = tables[m]
         terms = create_b3(m, FockVector.unit(src))
@@ -431,19 +431,20 @@ def b3_in_b2_matrix(n: int, smallest_shared: bool = False) -> TransitionMatrix:
                 parts += [(c * x, shift[j]) for j, x in word]
             elif q != pair:
                 parts.append((c * d, built[q]))
-        acc, den = _combine(parts, len(cols))
-        built[pair] = _stored_row(acc, den * d * target)
+        acc, den = _combine(parts, len(keys))
+        built[pair] = _stored_row(enumerate(acc), den * d * target)
     rows = [built[p] for p in pair_keys(n)]
-    return TransitionMatrix._of("b3", "b2", n, pair_keys(n), operator_keys(n), rows)
+    return TransitionMatrix._of("b3", "b2", n, pair_keys(n), keys, rows)
 
 
 def _expansion_matrix(source, target, n, row_keys, col_keys, expand) -> TransitionMatrix:
-    """Matrix whose row for key k holds the coefficients of expand(k)."""
-    rows = []
-    for k in row_keys:
-        exp = expand(k)
-        rows.append([exp[c] for c in col_keys])
-    return TransitionMatrix(source, target, n, row_keys, col_keys, rows)
+    """Matrix whose row for key k is stored from the nonzero terms of the vector expand(k).
+
+    The one builder of operator tables: the conjugated operators, the n-point curve
+    classes, the counted p -> m matrix and the a_-m and t^m tables of A and A^-1."""
+    index = {q: j for j, q in enumerate(col_keys)}
+    rows = [sorted((index[q], *c.as_integer_ratio()) for q, c in expand(k).items()) for k in row_keys]
+    return TransitionMatrix._of(source, target, n, row_keys, col_keys, map(_ratio_row, rows))
 
 
 def _gram(a: TransitionMatrix, weight) -> tuple[tuple[Fraction, ...], ...]:
@@ -495,17 +496,17 @@ def _gram_solve(keys, sort_key, gram, diagonal, weight):
     return m
 
 
-def _stored_row(acc: list[int], den: int) -> tuple[tuple, int]:
-    """The row acc / den in the stored form of ``TransitionMatrix.int_rows``; den > 0."""
-    pairs = [(j, x) for j, x in enumerate(acc) if x]
+def _stored_row(pairs, den: int) -> tuple[tuple, int]:
+    """The row of (column, integer) pairs over den > 0, columns ascending, stored; zeros drop."""
+    pairs = [(j, x) for j, x in pairs if x]
     g = gcd(den, *[x for _, x in pairs])
     return tuple((j, x // g) for j, x in pairs) if g > 1 else tuple(pairs), den // g
 
 
 def _ratio_row(entries) -> tuple[tuple, int]:
-    """The stored form of a dense row of (numerator, denominator) pairs."""
-    d = lcm(*[q for _, q in entries])
-    return _stored_row([p * (d // q) for p, q in entries], d)
+    """The stored row of sparse entries (column, p, q) for p/q: columns ascending, q of any sign."""
+    d = lcm(*[q for _, _, q in entries])
+    return _stored_row([(j, p * (d // q)) for j, p, q in entries], d)
 
 
 def _combine(terms, width: int) -> tuple[list[int], int]:
@@ -533,23 +534,23 @@ def b2_in_b3(n: int) -> TransitionMatrix:
     the smallest part of nu, and row (0, empty) is the vacuum pair (empty, (1)).
     Each operator is tabulated once on the pairs it acts on.
     """
+    keys = pair_keys(n)
     if not n:
-        return TransitionMatrix("b2", "b3", 0, operator_keys(0), pair_keys(0), [[1]])
-    cols = {p: j for j, p in enumerate(pair_keys(n))}
-    tables = {}  # m -> (column, coefficient) pairs of each image under a_-m, or t for m = 0
+        return TransitionMatrix._of("b2", "b3", 0, operator_keys(0), keys, [(((0, 1),), 1)])
+    tables = {}  # m -> the rows of a_-m, or of t for m = 0, on each pair it acts on
     rows = []
     for i, nu in operator_keys(n):
         m = 0 if i else nu[-1]
         below = b2_in_b3(n - max(m, 1))
         if m not in tables:
-            units = map(FockVector.unit, below.col_keys)
-            images = (create_b3(m, u) if m else translate_b3_linear(u) for u in units)
-            tables[m] = [([(cols[q], int(c)) for q, c in v.items()], 1) for v in images]
+            op = (lambda u: create_b3(m, u)) if m else translate_b3_linear
+            image = lambda p: op(FockVector.unit(p))
+            tables[m] = _expansion_matrix("b3", "b3", below.degree, below.col_keys, keys, image).int_rows
         word_key = B2Key(i - 1, nu) if i else B2Key(0, remove_part(nu, m))
         word, d = below.int_rows[below._index[word_key]]
-        acc, den = _combine([(x, tables[m][j]) for j, x in word], len(cols))
-        rows.append(_stored_row(acc, den * d))
-    return TransitionMatrix._of("b2", "b3", n, operator_keys(n), pair_keys(n), rows)
+        acc, den = _combine([(x, tables[m][j]) for j, x in word], len(keys))
+        rows.append(_stored_row(enumerate(acc), den * d))
+    return TransitionMatrix._of("b2", "b3", n, operator_keys(n), keys, rows)
 
 
 @lru_cache(maxsize=None)
@@ -566,11 +567,8 @@ def _translation(n: int) -> TransitionMatrix:
     cols: dict[Partition, list] = {}
     for j, q in enumerate(dst):
         cols.setdefault(q.lam, []).append((j, h_pair(q), content(q)))
-    rows = [[Fraction(0)] * len(dst) for _ in src]
-    for row, p in zip(rows, src):
-        for j, h, c in cols[p.mu]:
-            row[j] = Fraction(hook_product(p.mu) ** 2, h * (c - content(p)))
-    return TransitionMatrix("b1", "b1", n, src, dst, rows)
+    row = lambda p: [(j, hook_product(p.mu) ** 2, h * (c - content(p))) for j, h, c in cols[p.mu]]
+    return TransitionMatrix._of("b1", "b1", n, src, dst, [_ratio_row(row(p)) for p in src])
 
 
 @lru_cache(maxsize=None)
@@ -586,7 +584,7 @@ def b2_in_b1(n: int) -> TransitionMatrix:
     den = lcm(*map(h_pair, pairs))
     scale = [(p.lam, hook_product(p.lam) * (den // h_pair(p))) for p in pairs]
     for nu in partition_keys(n):
-        rows.append(_stored_row([s * character(lam, nu) for lam, s in scale], den))
+        rows.append(_stored_row(enumerate([s * character(lam, nu) for lam, s in scale]), den))
     return TransitionMatrix._of("b2", "b1", n, operator_keys(n), pairs, rows)
 
 
@@ -603,13 +601,13 @@ def _transport_inverse(x: TransitionMatrix, row_weight, col_weight) -> Transitio
     W_c = diag(col_weight) over the column keys of X, makes the rescaled
     transpose the inverse.
     """
-    cols = [[(0, 1)] * len(x.row_keys) for _ in x.col_keys]  # X^T W_r^-1 as (num, den) pairs
+    cols = [[] for _ in x.col_keys]  # X^T W_r^-1 as sparse (column, num, den) entries
     for k, (pairs, d) in enumerate(x.int_rows):
         w = Fraction(row_weight(x.row_keys[k]))
         for t, e in pairs:
-            cols[t][k] = (e * w.denominator, d * w.numerator)
+            cols[t].append((k, e * w.denominator, d * w.numerator))
     rows = [
-        _ratio_row([(c.numerator * p, c.denominator * q) for p, q in col])
+        _ratio_row([(k, c.numerator * p, c.denominator * q) for k, p, q in col])
         for c, col in zip(map(Fraction, map(col_weight, x.col_keys)), cols)
     ]
     return TransitionMatrix._of(x.target, x.source, x.degree, x.col_keys, x.row_keys, rows)
@@ -638,7 +636,8 @@ def transition_matrix(source: str, target: str, n: int) -> TransitionMatrix:
         raise ValueError(f"unknown basis tag: {source!r} or {target!r}")
     if source == target:
         keys = operator_keys(n) if source == "b2" else pair_keys(n)
-        return TransitionMatrix(source, target, n, keys, keys, identity_rows(len(keys)))
+        units = [(((j, 1),), 1) for j in range(len(keys))]
+        return TransitionMatrix._of(source, target, n, keys, keys, units)
     if (source, target) == ("b3", "b2"):
         return b3_in_b2_matrix(n)
     if (source, target) == ("b3", "b1"):
@@ -723,11 +722,10 @@ def hilb_fixed_in_p(n: int) -> TransitionMatrix:
     h(lam) chi^lam(nu) / z(nu), with h = hook_product.
     """
     keys = partition_keys(n)
-    rows = []
-    for lam in keys:
-        h = hook_product(lam)
-        rows.append([Fraction(h * character(lam, nu), z_factor(nu)) for nu in keys])
-    return TransitionMatrix("hilb_fixed", "hilb_p", n, keys, keys, rows)
+    den = lcm(*map(z_factor, keys))
+    row = lambda lam: [hook_product(lam) * character(lam, nu) * (den // z_factor(nu)) for nu in keys]
+    rows = [_stored_row(enumerate(row(lam)), den) for lam in keys]
+    return TransitionMatrix._of("hilb_fixed", "hilb_p", n, keys, keys, rows)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .basis_change import _expansion_matrix, hilb_fixed_in_p, hilb_L_in_p_matrix
+from .basis_change import TransitionMatrix, _expansion_matrix, hilb_fixed_in_p, hilb_L_in_p_matrix
 from .fock import B2Key, FockVector, pair_hilb_p
 from .partitions import Partition, character, hook_product, partition_keys
 from .ring import star_tilde
@@ -61,9 +61,13 @@ def p_in_m(nu: Partition) -> FockVector:
 
 
 @lru_cache(maxsize=None)
-def _p_to_m_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
+def _p_to_m(n: int) -> TransitionMatrix:
     keys = partition_keys(n)
-    return _expansion_matrix("p", "m", n, keys, keys, p_in_m).rows
+    return _expansion_matrix("hilb_p", "m", n, keys, keys, p_in_m)
+
+
+def _p_to_m_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    return _p_to_m(n).rows
 
 
 def _m_to_p_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:

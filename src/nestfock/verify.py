@@ -17,7 +17,6 @@ from math import factorial
 from typing import Callable, NamedTuple
 
 from .basis_change import (
-    TransitionMatrix,
     _gram,
     b1_annihilation,
     b1_cotranslate,
@@ -72,7 +71,7 @@ from .ring import (
     star_b1,
     star_hilb,
 )
-from .symfunc import _p_to_m_rows, hall_pairing, phi
+from .symfunc import _p_to_m, hall_pairing, phi
 
 
 class CheckResult(NamedTuple):
@@ -303,14 +302,12 @@ def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
 
     # with A Z A^T = M H M^T below this pins M: G has one LDL^T along dominance
     bad = []
+    le = lambda q, p: dominance_le(q.lam, p.lam) and dominance_le(q.mu, p.mu)
     for n in range(max_n + 1):
         mat = b3_in_b1(n)
         for a, p in enumerate(mat.row_keys):
-            for b, q in enumerate(mat.col_keys):
-                x = mat.rows[a][b]
-                off = x and not (dominance_le(q.lam, p.lam) and dominance_le(q.mu, p.mu))
-                if off or (a == b and x != Fraction(1, h_plus(p))):
-                    bad.append({"degree": n, "row": p.as_json_obj(), "col": q.as_json_obj()})
+            for q in _misses(mat, a, le, Fraction(1, h_plus(p))):
+                bad.append({"degree": n, "row": p.as_json_obj(), "col": q.as_json_obj()})
     name = f"b3_in_b1 triangular for product dominance, diagonal 1/h_plus, n <= {max_n}"
     out.append(_result(name, bad))
 
@@ -341,9 +338,14 @@ def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
     return out
 
 
-def _p_to_m(n: int) -> TransitionMatrix:
-    keys = partition_keys(n)
-    return TransitionMatrix("hilb_p", "m", n, keys, keys, _p_to_m_rows(n))
+def _misses(mat, a: int, le, diagonal: Fraction) -> list:
+    """Column keys, in order, where row a of a square matrix leaves le(col, row) or its
+    diagonal, read off the stored integer row; the diagonal is compared by cross-multiplying."""
+    pairs, d = mat.int_rows[a]
+    cols = {b for b, _ in pairs if b != a and not le(mat.col_keys[b], mat.row_keys[a])}
+    if dict(pairs).get(a, 0) * diagonal.denominator != d * diagonal.numerator:
+        cols.add(a)
+    return [mat.col_keys[b] for b in sorted(cols)]
 
 
 def suite_phi(max_n: int = 9) -> list[CheckResult]:
@@ -372,14 +374,12 @@ def suite_phi(max_n: int = 9) -> list[CheckResult]:
     for n in range(limit + 1):
         mat = hilb_fixed_in_p(n)
         in_m = mat @ _p_to_m(n)
-        for lam, row in zip(mat.row_keys, in_m.rows):
+        for a, lam in enumerate(mat.row_keys):
             img = phi(mat.expand(lam))
             if hall_pairing(img, img) != hook_product(lam) ** 2:
                 bad.append({"lambda": lam.as_list(), "check": "norm"})
-            for mu, x in zip(mat.col_keys, row):
-                off = x and not dominance_le(mu, lam)
-                if off or (mu == lam and x != hook_product(lam)):
-                    bad.append({"lambda": lam.as_list(), "mu": mu.as_list(), "check": "monomial"})
+            for mu in _misses(in_m, a, dominance_le, Fraction(hook_product(lam))):
+                bad.append({"lambda": lam.as_list(), "mu": mu.as_list(), "check": "monomial"})
     name = f"fixed classes have norm h^2 and image h(lam) m_lam + lower terms, |lam| <= {limit}"
     out.append(_result(name, bad))
 
@@ -391,11 +391,8 @@ def suite_phi(max_n: int = 9) -> list[CheckResult]:
         if mat @ hilb_fixed_in_p(n) != curves:
             bad.append({"degree": n, "check": "X F = L"})
         for a, lam in enumerate(mat.row_keys):
-            for b, mu in enumerate(mat.col_keys):
-                x = mat.rows[a][b]
-                off = x and a != b and not dominance_le(mu, lam)
-                if off or (a == b and x != Fraction(1, hook_product(lam))):
-                    bad.append({"degree": n, "lambda": lam.as_list(), "mu": mu.as_list()})
+            for mu in _misses(mat, a, dominance_le, Fraction(1, hook_product(lam))):
+                bad.append({"degree": n, "lambda": lam.as_list(), "mu": mu.as_list()})
     out.append(_result(f"curve classes L F^-1 triangular, diagonal 1/h, |lam| <= {limit}", bad))
 
     bad = []

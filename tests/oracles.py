@@ -4,12 +4,36 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 
-from nestfock.basis_change import operator_keys, pair_keys
+from nestfock.basis_change import TransitionMatrix, operator_keys, pair_keys
 from nestfock.curve_classes import add_part, create_b3, translate_b3_pow
 from nestfock.fock import B2Key, FockVector, creation, hilb_creation, translate_pow
-from nestfock.incidence import IncidencePair
-from nestfock.partitions import Cell, Corner, Partition, remove_part
+from nestfock.incidence import IncidencePair, h_pair
+from nestfock.partitions import Cell, Corner, Partition, hook_product, remove_part
 from nestfock.ring import star_b1, star_tilde
+
+
+def identity_rows(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def translation_dense(n: int) -> TransitionMatrix:
+    """Translation from degree n to n + 1 in fixed-point coordinates, by dense Fraction rows.
+
+    [lam, mu] goes to the sum over rho = mu + one cell of
+    h(mu)^2 / (h(mu, rho) (c(rho/mu) - c(mu/lam))) [mu, rho], with
+    c(cell) = column - row; every slot of a row is filled, zeros included,
+    and the public constructor converts the rows.
+    """
+    src, dst = pair_keys(n), pair_keys(n + 1)
+    content = lambda p: p.added_cell.col - p.added_cell.row
+    cols: dict[Partition, list] = {}
+    for j, q in enumerate(dst):
+        cols.setdefault(q.lam, []).append((j, h_pair(q), content(q)))
+    rows = [[Fraction(0)] * len(dst) for _ in src]
+    for row, p in zip(rows, src):
+        for j, h, c in cols[p.mu]:
+            row[j] = Fraction(hook_product(p.mu) ** 2, h * (c - content(p)))
+    return TransitionMatrix("b1", "b1", n, src, dst, rows)
 
 
 def p_in_m_expanded(nu: Partition) -> FockVector:

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env, clear_memos
-from oracles import b3_in_b2_recursive, hilb_L_in_p_recursive, transition_json_text
+from oracles import (
+    b3_in_b2_recursive,
+    hilb_L_in_p_recursive,
+    identity_rows,
+    transition_json_text,
+    translation_dense,
+)
 from nestfock import basis_change, ring, symfunc
 from nestfock.basis_change import (
     CacheError,
@@ -20,6 +26,7 @@ from nestfock.basis_change import (
     _gram,
     _gram_solve,
     _operator_matrix,
+    _translation,
     b1_annihilation,
     b1_cotranslate,
     b1_creation,
@@ -39,7 +46,6 @@ from nestfock.basis_change import (
     hilb_L_in_p,
     hilb_L_in_p_matrix,
     hilb_p_in_fixed,
-    identity_rows,
     mat_inv,
     mat_mul,
     operator_keys,
@@ -134,6 +140,31 @@ class TestCurveInOperator:
         for p in pair_keys(n):
             assert mat.expand(p) == b3_in_b2_recursive(p, smallest_shared), p
 
+    def test_one_memo_entry_per_degree_and_choice(self, monkeypatch):
+        """However the choice is passed, each (degree, choice) is built and kept once.
+
+        The recursion reads the lower degrees through the public name.
+        """
+        clear_memos()
+        memo = basis_change._curve_matrix.cache_info
+        a = b3_in_b2_matrix(3)
+        size = memo().currsize
+        assert b3_in_b2_matrix(3, False) is a and b3_in_b2_matrix(3, smallest_shared=False) is a
+        assert memo().currsize == size
+        b = b3_in_b2_matrix(3, True)
+        assert b is b3_in_b2_matrix(3, smallest_shared=True) and b is not a and b == a
+        assert memo().currsize > size
+        seen = []
+        public = basis_change.b3_in_b2_matrix
+        monkeypatch.setattr(
+            basis_change, "b3_in_b2_matrix", lambda n, *choice: seen.append(n) or public(n, *choice)
+        )
+        clear_memos()
+        assert basis_change.b3_in_b2_matrix(4) == public(4)
+        assert set(seen) > {4}
+        monkeypatch.undo()
+        clear_memos()
+
     def test_matrix_invertible(self):
         for n in range(6):
             mat = b3_in_b2_matrix(n)
@@ -218,6 +249,13 @@ class TestOperatorInFixed:
                 [list(r) for r in b1_in_b2(n).rows], [list(r) for r in b2_in_b1(n).rows]
             )
             assert prod == identity_rows(len(prod))
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_translation_matches_the_dense_rows(self, n):
+        """The sparse rows of T, whose content differences can be negative, against dense ones."""
+        dense = translation_dense(n)
+        assert _translation(n) == dense
+        assert _translation(n).json_text() == dense.json_text()
 
     def test_pairing_transport(self):
         for n in range(7):
@@ -425,6 +463,42 @@ class TestGramRouteOracle:
                 x = U(operator_keys(n)[0])
                 assert star_tilde(x, x)
         finally:
+            clear_memos()
+
+    def test_no_builder_goes_through_the_dense_constructor(self, monkeypatch):
+        """Every builder makes its rows in the stored form, for n <= 6.
+
+        The public constructor is refused while the routes, the identities,
+        F, F^-1, X, the translation, every conjugated operator and the
+        counted p -> m matrix are built.
+        """
+
+        def refuse(*args):
+            raise AssertionError("a builder went through the dense constructor")
+
+        monkeypatch.setattr(TransitionMatrix, "__new__", refuse)
+        with pytest.raises(AssertionError, match="dense constructor"):
+            TransitionMatrix("x", "x", 0, [], [], [])
+        clear_memos()
+        try:
+            for n in range(7):
+                for source in ("b1", "b2", "b3"):
+                    for target in ("b1", "b2", "b3"):
+                        transition_matrix(source, target, n)
+                builds = (hilb_fixed_in_p, hilb_p_in_fixed, hilb_L_in_fixed, symfunc._p_to_m)
+                for build in (*builds, basis_change._translation):
+                    build(n)
+                v, w = U(pair_keys(n)[0]), U(partition_keys(n)[0])
+                b1_cotranslate(v, n)
+                for m in range(1, 7 - n):
+                    b1_creation(m, v, n)
+                    fixed_creation(m, w, n)
+                for m in range(1, n + 1):
+                    b1_annihilation(m, v, n)
+                    fixed_annihilation(m, w, n)
+            assert _operator_matrix.cache_info().currsize == 6 + 2 * 2 * sum(range(1, 7))
+        finally:
+            monkeypatch.undo()
             clear_memos()
 
 

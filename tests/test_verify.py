@@ -209,6 +209,39 @@ class TestTranslationRule:
             monkeypatch.undo()
             clear_memos()
 
+    def test_doubled_entry_of_the_translation_from_degree_two_is_caught(self, monkeypatch):
+        """One entry of the translation from degree 2 to 3 doubled breaks B from degree 3 on.
+
+        For every entry the pairing check passes at degree 2 and fails at
+        degree 3; with the first entry doubled, the heisenberg, roundtrip,
+        diagrams and ordinary checks that build on B(3) fail as well.
+        """
+        want = {  # the result of each check at degree 4
+            "heisenberg": [False, False, False],
+            "roundtrip": [False, False, False, True, True],
+            "diagrams": [False, False, False, False, True, True],
+            "ordinary": [False, False, True, True],
+        }
+        t = _translation(2)
+        entries = [(a, j) for a, row in enumerate(t.rows) for j, x in enumerate(row) if x]
+        try:
+            for a, j in entries:
+                rows = [list(r) for r in t.rows]
+                rows[a][j] *= 2
+                doubled = with_rows(t, rows)
+                fake = lambda m, doubled=doubled: doubled if m == 2 else _translation(m)
+                monkeypatch.setattr(basis_change, "_translation", fake)
+                clear_memos()
+                assert verify.suite_pairing(2)[0].ok, (a, j)
+                res = verify.suite_pairing(4)[0]
+                assert not res.ok and {f["degree"] for f in json.loads(res.detail)} == {3}, (a, j)
+                if (a, j) == entries[0]:
+                    caught = {s: [r.ok for r in verify.run_suite(s, 4)] for s in want}
+                    assert caught == want
+        finally:
+            monkeypatch.undo()
+            clear_memos()
+
 
 class TestSuiteRoundtrip:
     @pytest.mark.parametrize("n", [2, 3])
