@@ -9,7 +9,9 @@ deterministically:
 
 The curve basis in the operator basis, A, is a double induction on
 size and length: each row is the creation operator a_-m on a row of
-degree n - m, less rows of the same degree built before it.  The
+degree n - m, less rows of the same degree built before it, with m the
+largest part that lam and mu share (``_curve_row``, the one step, which
+verify runs from every other shared part as well).  The
 operator basis in the fixed-point basis, B, and in the curve basis,
 A^-1, are closed-form from the words (i, nu) = t^i a_-nu on the vacuum:
 the rows (0, nu) come from the character table and the curve-basis
@@ -36,7 +38,8 @@ through the same helpers: ``_expansion_matrix`` (the one builder of
 operator tables: curve classes, p -> m, conjugated operators and the
 a_-m and t^m tables of A and A^-1), ``@``, ``_transport_inverse`` (the
 rescaled transpose) and ``_conjugated`` (an operator carried into
-fixed-point coordinates, built once per index and degree as a matrix).
+fixed-point coordinates, built once per index and degree as the product
+of the change of basis, the operator's own table and the change back).
 
 Degree-level matrices can be persisted as JSON documents with a
 checksum; a version mismatch is a cache miss, a corrupted file is an
@@ -137,6 +140,10 @@ def operator_keys(n: int) -> tuple[B2Key, ...]:
     return tuple(b2_keys(n))
 
 
+def _key_book(tag: str, n: int) -> tuple:
+    return operator_keys(n) if tag == "b2" else pair_keys(n)
+
+
 # ---------------------------------------------------------------------------
 # transition matrix value type
 
@@ -148,6 +155,8 @@ def key_from_obj(tag: str, obj) -> object:
     if tag in ("b1", "b3"):
         return IncidencePair(Partition(obj["lambda"]), Partition(obj["mu"]))
     if tag == "b2":
+        if int(obj["i"]) != obj["i"]:
+            raise ValueError(f"operator key index {obj['i']!r} is not an integer")
         return B2Key(int(obj["i"]), Partition(obj["nu"]))
     return Partition(obj)
 
@@ -376,65 +385,66 @@ def _checksum(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 # curve basis in the operator basis
 
-def b3_in_b2(pair: IncidencePair, *, smallest_shared: bool = False) -> FockVector:
+def b3_in_b2(pair: IncidencePair) -> FockVector:
     """Expansion of a curve-basis key in the operator basis: its row of A."""
-    return b3_in_b2_matrix(pair.lam.size, smallest_shared).expand(pair)
+    return b3_in_b2_matrix(pair.lam.size).expand(pair)
 
 
-def b3_in_b2_matrix(n: int, smallest_shared: bool = False) -> TransitionMatrix:
+@lru_cache(maxsize=None)
+def b3_in_b2_matrix(n: int) -> TransitionMatrix:
     """Curve basis in the operator basis, A, by a double induction on size and length.
 
     The size-0 key is the vacuum; for a one-part lam the two keys are the
     pure translate (n, empty) and the difference (0, (n)) - (n, empty).
-    Any other row, in order of increasing length of lam: pick the largest
-    part m shared by lam and mu (the smallest with ``smallest_shared=True``;
-    A is independent of the choice), strip one copy from both, apply the
-    curve-basis creation operator to the stripped key and solve for the
-    target term.  a_-m and the absorption term, the m-fold translate of the
-    stripped key, map the columns of the stripped key's row of degree
-    n - m; all remaining terms have shorter lam and are rows built before.
-    Each row is one ``_combine`` divided by the target coefficient.
+    Every other row, in order of increasing length of lam, is ``_curve_row``
+    from the largest part that lam and mu share.
     """
-    return _curve_matrix(n, bool(smallest_shared))
-
-
-@lru_cache(maxsize=None)
-def _curve_matrix(n: int, smallest_shared: bool) -> TransitionMatrix:
-    keys = operator_keys(n)
-    tables = {}  # m -> the rows of a_-m and of t^m on each column of degree n - m
-    built = {}
-    for pair in sorted(pair_keys(n), key=lambda p: p.lam.length):
+    keys, cols, built, tables = pair_keys(n), operator_keys(n), {}, {}
+    for pair in sorted(keys, key=lambda p: p.lam.length):
         lam, mu = pair
         if lam.length <= 1:  # column 0 is (n, empty), the vacuum at n = 0
-            built[pair] = (((0, 1),) if mu.length == 1 else ((0, -1), (keys.index(B2Key(0, lam)), 1)), 1)
-            continue
-        m = sorted(set(lam.parts) & set(mu.parts))[0 if smallest_shared else -1]
-        src = IncidencePair(remove_part(lam, m), remove_part(mu, m))
-        below = b3_in_b2_matrix(n - m, smallest_shared)
-        if m not in tables:
-            unit = FockVector.unit
-            tables[m] = [
-                _expansion_matrix("b2", "b2", n - m, below.col_keys, keys, op).int_rows
-                for op in (lambda k: creation(m, unit(k)), lambda k: translate_pow(unit(k), m))
-            ]
-        create, shift = tables[m]
-        terms = create_b3(m, FockVector.unit(src))
-        target = int(terms[pair])
-        if not target:
-            raise RuntimeError(f"target {pair} missing from expansion of {src}")
-        word, d = below.int_rows[below._index[src]]
-        absorption = translate_b3_pow(src, m)
-        parts = [(x, create[j]) for j, x in word]  # over d, so the other rows are scaled by d
-        for q, c in terms.items():
-            c = -int(c)
-            if q == absorption:
-                parts += [(c * x, shift[j]) for j, x in word]
-            elif q != pair:
-                parts.append((c * d, built[q]))
-        acc, den = _combine(parts, len(keys))
-        built[pair] = _stored_row(enumerate(acc), den * d * target)
-    rows = [built[p] for p in pair_keys(n)]
-    return TransitionMatrix._of("b3", "b2", n, pair_keys(n), keys, rows)
+            built[pair] = (((0, 1),) if mu.length == 1 else ((0, -1), (cols.index(B2Key(0, lam)), 1)), 1)
+        else:
+            built[pair] = _curve_row(pair, max(set(lam.parts) & set(mu.parts)), built, tables)
+    return TransitionMatrix._of("b3", "b2", n, keys, cols, map(built.get, keys))
+
+
+def _curve_row(pair: IncidencePair, m: int, built: dict, tables: dict) -> tuple[tuple, int]:
+    """The stored row of A at pair from a part m shared by lam and mu.
+
+    Strip one copy of m from both, apply the curve-basis creation operator
+    to the stripped key and solve for the target term.  a_-m and the
+    absorption term, the m-fold translate of the stripped key, map the
+    columns of the stripped key's row of degree n - m; every other term
+    has shorter lam and is read from ``built``.  ``tables`` keeps the
+    tables of a_-m and t^m of this degree, each built on first use.  A does
+    not depend on the choice of m, which verify checks one step at a time.
+    """
+    n = pair.lam.size
+    src = IncidencePair(remove_part(pair.lam, m), remove_part(pair.mu, m))
+    below = b3_in_b2_matrix(n - m)
+    if m not in tables:  # the rows of a_-m and of t^m on each column of degree n - m
+        unit = FockVector.unit
+        tables[m] = [
+            _expansion_matrix("b2", "b2", n - m, below.col_keys, operator_keys(n), op).int_rows
+            for op in (lambda k: creation(m, unit(k)), lambda k: translate_pow(unit(k), m))
+        ]
+    create, shift = tables[m]
+    terms = create_b3(m, FockVector.unit(src))
+    target = int(terms[pair])
+    if not target:
+        raise RuntimeError(f"target {pair} missing from expansion of {src}")
+    word, d = below.int_rows[below._index[src]]
+    absorption = translate_b3_pow(src, m)
+    parts = [(x, create[j]) for j, x in word]  # over d, so the other rows are scaled by d
+    for q, c in terms.items():
+        c = -int(c)
+        if q == absorption:
+            parts += [(c * x, shift[j]) for j, x in word]
+        elif q != pair:
+            parts.append((c * d, built[q]))
+    acc, den = _combine(parts, len(operator_keys(n)))
+    return _stored_row(enumerate(acc), den * d * target)
 
 
 def _expansion_matrix(source, target, n, row_keys, col_keys, expand) -> TransitionMatrix:
@@ -635,7 +645,7 @@ def transition_matrix(source: str, target: str, n: int) -> TransitionMatrix:
     if source not in BASIS_TAGS or target not in BASIS_TAGS:
         raise ValueError(f"unknown basis tag: {source!r} or {target!r}")
     if source == target:
-        keys = operator_keys(n) if source == "b2" else pair_keys(n)
+        keys = _key_book(source, n)
         units = [(((j, 1),), 1) for j in range(len(keys))]
         return TransitionMatrix._of(source, target, n, keys, keys, units)
     if (source, target) == ("b3", "b2"):
@@ -657,12 +667,12 @@ def transition_matrix(source: str, target: str, n: int) -> TransitionMatrix:
 def _operator_matrix(op, index, n: int, n_out: int, to_ops, to_fixed) -> TransitionMatrix:
     """op(*index, -) from degree n to n_out in fixed-point coordinates, built once.
 
-    Row by row: S = to_ops(n) expands each key in the operator basis, op
-    acts on that expansion, and D = to_fixed(n_out) carries the image back.
+    The product S O D of S = to_ops(n), the matrix O of op on the operator
+    keys of degree n and D = to_fixed(n_out).
     """
     src, dst = to_ops(n), to_fixed(n_out)
-    image = lambda k: dst.apply(op(*index, src.expand(k)))
-    return _expansion_matrix(src.source, dst.target, n, src.row_keys, dst.col_keys, image)
+    image = lambda k: op(*index, FockVector.unit(k))
+    return src @ _expansion_matrix(src.target, dst.source, n, src.col_keys, dst.row_keys, image) @ dst
 
 
 def _conjugated(op, index, v: FockVector, n: int, n_out: int, to_ops, to_fixed) -> FockVector:
@@ -780,7 +790,8 @@ def cache_load(source: str, target: str, n: int, cache_dir) -> TransitionMatrix 
     """Load a stored matrix; None on absence or version mismatch.
 
     A file that exists but fails to parse or verify, or that holds
-    another matrix than its name says, raises CacheError.
+    another matrix than its name says (its tags, an integer n and the key
+    books of both bases at n), raises CacheError.
     """
     path = _cache_path(cache_dir, source, target, n)
     if not path.exists():
@@ -793,9 +804,14 @@ def cache_load(source: str, target: str, n: int, cache_dir) -> TransitionMatrix 
         raise CacheError(f"malformed cache file {path}")
     if doc.get("version") != LIBRARY_VERSION:
         return None
-    if (doc.get("source"), doc.get("target"), doc.get("n")) != (source, target, n):
-        raise CacheError(f"cache file {path} is not the {source}->{target} matrix at n={n}")
+    wrong = f"cache file {path} is not the {source}->{target} matrix at n={n}"
+    head = (doc.get("source"), doc.get("target"), doc.get("n"))
+    if head != (source, target, n) or type(head[2]) is not int:
+        raise CacheError(wrong)
     try:
-        return TransitionMatrix.from_json_doc(doc)
+        matrix = TransitionMatrix.from_json_doc(doc)
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise CacheError(f"malformed cache file {path}: {exc}") from exc
+    if (matrix.row_keys, matrix.col_keys) != (_key_book(source, n), _key_book(target, n)):
+        raise CacheError(wrong)
+    return matrix

@@ -205,7 +205,7 @@ def cmd_product(args, error) -> int:
     tag = "b1" if args.basis == "b1" else "b2"
 
     def parse(text):
-        # key_from_obj would truncate floats and read strings and bools as parts
+        # key_from_obj would read an integral float or a bool as the index i
         obj = json.loads(text)
         fields = ([obj["i"]], obj["nu"]) if tag == "b2" else (obj["lambda"], obj["mu"])
         if not all(type(f) is list and all(type(x) is int for x in f) for f in fields):

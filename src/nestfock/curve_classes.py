@@ -60,18 +60,14 @@ def translate_b3_pow(pair: IncidencePair, j: int) -> IncidencePair:
 def create_b3(m: int, v: FockVector) -> FockVector:
     """Creation of index m on the incidence curve basis.
 
-    For a key (lam, mu) with distinguished value i the image has three
+    For a key (lam, mu) with distinguished value i the image has two
     kinds of terms:
 
-    * for each distinct cluster size lam_k != i (including 0) the key
+    * for 0 and each distinct cluster size lam_k that lam and mu share
+      (so i >= 1 only when lam holds two copies of it) the key
       (lam(lam_k, m), mu(lam_k, m)), with coefficient the multiplicity
       of lam_k + m in lam(lam_k, m), minus 1 when lam_k + m = i: the
       new cluster cannot play the role of the distinguished one;
-    * the i-term (lam(i, m), mu(i, m)), with coefficient the
-      multiplicity of i + m in lam(i, m); for i >= 1 it is present
-      only when mu retains a free copy of i, i.e. when the
-      multiplicity of i in lam is at least 2 (for i = 0 it is always
-      present);
     * the absorption term (lam(i, m), mu(i+1, m)) with coefficient 1,
       which is the m-fold translate of the source key.
     """
@@ -80,21 +76,11 @@ def create_b3(m: int, v: FockVector) -> FockVector:
     out: list = []
     for pair, c in v.items():
         lam, mu, i = pair.lam, pair.mu, pair.value
-        for lam_k in {0} | set(lam.parts):
-            if lam_k == i:
-                if i >= 1 and lam.multiplicity(i) < 2:
-                    continue
-                lam2 = add_part(lam, i, m)
-                mu2 = add_part(mu, i, m)
-                coeff = lam2.multiplicity(i + m)
-            else:
-                lam2 = add_part(lam, lam_k, m)
-                mu2 = add_part(mu, lam_k, m)
-                coeff = lam2.multiplicity(lam_k + m)
-                if lam_k + m == i:
-                    coeff -= 1
+        for lam_k in {0} | (set(lam.parts) & set(mu.parts)):
+            lam2 = add_part(lam, lam_k, m)
+            coeff = lam2.multiplicity(lam_k + m) - (lam_k + m == i)
             if coeff:
-                out.append((IncidencePair(lam2, mu2), c * coeff))
+                out.append((IncidencePair(lam2, add_part(mu, lam_k, m)), c * coeff))
         out.append((IncidencePair(add_part(lam, i, m), add_part(mu, i + 1, m)), c))
     return FockVector(out)
 

@@ -12,6 +12,7 @@ named pairings only supply the weight of a key.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, NamedTuple
 
@@ -107,19 +108,16 @@ class FockVector:
         return bool(self._terms)
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        data = dict(self._terms)
-        for k, c in other._terms.items():
-            s = data.get(k, _ZERO) + c
-            if s:
-                data[k] = s
-            elif k in data:
-                del data[k]
-        return FockVector._wrap(data)
+        return self._merged(other, operator.add)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
+        return self._merged(other, operator.sub)
+
+    def _merged(self, other: "FockVector", op) -> "FockVector":
+        """The sum or the difference, op(self[k], other[k]) on each key k of other; zeros drop."""
         data = dict(self._terms)
         for k, c in other._terms.items():
-            s = data.get(k, _ZERO) - c
+            s = op(data.get(k, _ZERO), c)
             if s:
                 data[k] = s
             elif k in data:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import child_env, clear_memos
+from conftest import child_env, clear_memos, run_cli
 from oracles import (
     b3_in_b2_recursive,
     hilb_L_in_p_recursive,
@@ -131,34 +131,33 @@ class TestCurveInOperator:
     def test_shared_part_choice_irrelevant(self):
         for n in range(6):
             for p in pair_keys(n):
-                assert b3_in_b2(p) == b3_in_b2(p, smallest_shared=True)
+                assert b3_in_b2(p) == b3_in_b2_recursive(p, True)
 
     @pytest.mark.parametrize("smallest_shared", [False, True])
     @pytest.mark.parametrize("n", range(9))
     def test_rows_match_the_per_key_recursion(self, n, smallest_shared):
-        mat = b3_in_b2_matrix(n, smallest_shared)
+        mat = b3_in_b2_matrix(n)
         for p in pair_keys(n):
             assert mat.expand(p) == b3_in_b2_recursive(p, smallest_shared), p
 
     def test_one_memo_entry_per_degree_and_choice(self, monkeypatch):
-        """However the choice is passed, each (degree, choice) is built and kept once.
+        """Each degree is built and kept once, and every shared part gives its stored row.
 
         The recursion reads the lower degrees through the public name.
         """
         clear_memos()
-        memo = basis_change._curve_matrix.cache_info
+        memo = b3_in_b2_matrix.cache_info
         a = b3_in_b2_matrix(3)
         size = memo().currsize
-        assert b3_in_b2_matrix(3, False) is a and b3_in_b2_matrix(3, smallest_shared=False) is a
-        assert memo().currsize == size
-        b = b3_in_b2_matrix(3, True)
-        assert b is b3_in_b2_matrix(3, smallest_shared=True) and b is not a and b == a
-        assert memo().currsize > size
+        assert b3_in_b2_matrix(3) is a and memo().currsize == size
+        rows = dict(zip(a.row_keys, a.int_rows))
+        for p, row in rows.items():
+            for m in set(p.lam.parts) & set(p.mu.parts):
+                assert basis_change._curve_row(p, m, rows, {}) == row
+        assert b3_in_b2_matrix(3) is a
         seen = []
         public = basis_change.b3_in_b2_matrix
-        monkeypatch.setattr(
-            basis_change, "b3_in_b2_matrix", lambda n, *choice: seen.append(n) or public(n, *choice)
-        )
+        monkeypatch.setattr(basis_change, "b3_in_b2_matrix", lambda n: seen.append(n) or public(n))
         clear_memos()
         assert basis_change.b3_in_b2_matrix(4) == public(4)
         assert set(seen) > {4}
@@ -364,11 +363,15 @@ class TestIntegerKernels:
     @pytest.mark.parametrize("n", range(6))
     def test_kernel_matrices_are_canonical(self, n):
         built = [transition_matrix(*route, n) for route in ROUTES]
-        built += [b3_in_b2_matrix(n, True), hilb_L_in_fixed(n), hilb_p_in_fixed(n)]
+        built += [hilb_L_in_fixed(n), hilb_p_in_fixed(n)]
         for mat in built:
             rebuilt = TransitionMatrix(mat.source, mat.target, n, mat.row_keys, mat.col_keys, mat.rows)
             assert mat == rebuilt
             assert mat.json_text() == rebuilt.json_text()
+        # A as the oracle builds it from the smallest shared part
+        a, keys = b3_in_b2_matrix(n), operator_keys(n)
+        oracle = [[b3_in_b2_recursive(p, True)[k] for k in keys] for p in a.row_keys]
+        assert TransitionMatrix("b3", "b2", n, a.row_keys, keys, oracle).json_text() == a.json_text()
 
     def test_matmul_of_empty_matrices(self):
         empty = TransitionMatrix("x", "x", 0, [], [], [])
@@ -857,6 +860,47 @@ class TestCache:
         (tmp_path / "b2--b1--2.json").write_text(json.dumps(doc))
         with pytest.raises(CacheError, match="malformed"):
             cache_load("b2", "b1", 2, tmp_path)
+
+    def test_float_degree_rejected(self, tmp_path):
+        """A resealed document with "n": 2.0 is not the degree-2 matrix, for the CLI either."""
+        doc = b2_in_b1(2).to_json_doc()
+        doc["n"] = 2.0
+        (tmp_path / "b2--b1--2.json").write_text(json.dumps(resealed(doc)))
+        with pytest.raises(CacheError, match="is not the"):
+            cache_load("b2", "b1", 2, tmp_path)
+        args = ("transition", "--from", "b2", "--to", "b1", "-n", "2", "--cache-dir", str(tmp_path))
+        res = run_cli(*args, cwd=tmp_path)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert "is not the b2->b1 matrix at n=2" in res.stderr
+
+    def test_non_integral_operator_index_rejected(self, tmp_path):
+        doc = b2_in_b1(2).to_json_doc()
+        doc["key_order"]["rows"][0]["i"] = 2.5
+        (tmp_path / "b2--b1--2.json").write_text(json.dumps(resealed(doc)))
+        with pytest.raises(CacheError, match="malformed"):
+            cache_load("b2", "b1", 2, tmp_path)
+
+    @pytest.mark.parametrize("change", ["reversed keys", "foreign key", "truncated index"])
+    def test_keys_outside_the_key_books_rejected(self, tmp_path, change):
+        """Row keys reordered, or one of them of degree 4, are not the keys of the degree-2 matrix."""
+        doc = b2_in_b1(2).to_json_doc()
+        rows = doc["key_order"]["rows"]
+        if change != "foreign key":
+            rows.reverse()
+            doc["rows"].reverse()
+        if change != "reversed keys":  # (0, [1, 1]) read as the degree-4 key (2, [1, 1])
+            next(k for k in rows if k["nu"] == [1, 1])["i"] = 2 if change == "foreign key" else 2.7
+        (tmp_path / "b2--b1--2.json").write_text(json.dumps(resealed(doc)))
+        with pytest.raises(CacheError):
+            cache_load("b2", "b1", 2, tmp_path)
+
+    def test_integral_float_index_loads(self, tmp_path):
+        mat = b2_in_b1(2)
+        doc = mat.to_json_doc()
+        doc["key_order"]["rows"][0]["i"] = 2.0
+        (tmp_path / "b2--b1--2.json").write_text(json.dumps(resealed(doc)))
+        loaded = cache_load("b2", "b1", 2, tmp_path)
+        assert loaded == mat and loaded.json_text() == mat.json_text()
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "b2--b1--1.json"

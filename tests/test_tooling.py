@@ -54,12 +54,14 @@ def test_traced_cli_call_matches_plain_call(tmp_path):
     # diagrams runs the conjugated operators and the Hilbert-side pairings;
     # heisenberg builds the operator matrices, cached on the very operator
     # functions that the tracer rebinds; ordinary reaches the product
-    # contraction through the rebound ordinary_cup and _unit_data
+    # contraction through the rebound ordinary_cup and _unit_data; roundtrip
+    # runs every step of the curve recursion through the rebound b3_in_b2_matrix
     for args in (
         ["product", "--basis", "ordinary", "-n", "2"],
         ["verify", "--suite", "diagrams", "--max-n", "3"],
         ["verify", "--suite", "heisenberg", "--max-n", "3"],
         ["verify", "--suite", "ordinary", "--max-n", "3"],
+        ["verify", "--suite", "roundtrip", "--max-n", "3"],
     ):
         args = [*args, "--cache-dir", str(tmp_path)]
         trace = tmp_path / f"trace-{'-'.join(args[:3])}.json"

@@ -131,6 +131,24 @@ class TestSuitePairing:
     def test_passes_unperturbed(self):
         assert all(r.ok for r in verify.suite_pairing(5))
 
+    @pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bumped_h_pair_of_the_engine_is_caught_at_its_degree(self, n, end, monkeypatch):
+        """h(lam, mu) + 1 at one pair where B is built fails the transport law at that degree.
+
+        verify weighs B H B^T with the true h_pair, so only B is wrong.
+        """
+        bumped = pair_keys(n)[end]
+        clear_memos()
+        try:
+            monkeypatch.setattr(basis_change, "h_pair", lambda p: h_pair(p) + (p == bumped))
+            (res,) = verify.suite_pairing(n)
+            assert not res.ok
+            assert {f["degree"] for f in json.loads(res.detail)} == {n}
+        finally:
+            monkeypatch.undo()
+            clear_memos()
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_perturbed_entry_is_the_counterexample(self, n, monkeypatch):
         mat = b2_in_b1(n)
@@ -315,6 +333,31 @@ class TestSuiteRoundtrip:
             assert json.loads(results[4].detail) == [{"degree": 2}, {"degree": 3}, {"degree": 4}]
             assert results[1].name.startswith("b3_in_b1 triangular")
             assert json.loads(results[1].detail)[0]["degree"] == 2
+        finally:
+            monkeypatch.undo()
+            clear_memos()
+
+    def test_wrong_middle_choice_of_the_curve_recursion_is_caught(self, monkeypatch):
+        """a_-2 on ([3, 1], [3, 1, 1]) with one more target term fails the choice check only.
+
+        Only the row of ([3, 2, 1], [3, 2, 1, 1]) strips to that key, with
+        m = 2 of its shared parts 1, 2 and 3; A strips 3 and the smallest
+        choice 1, so neither A nor a rebuild of A from the smallest part sees it.
+        """
+        src = IncidencePair(Partition([3, 1]), Partition([3, 1, 1]))
+        target = IncidencePair(Partition([3, 2, 1]), Partition([3, 2, 1, 1]))
+
+        def mutant(m, v):
+            image = create_b3(m, v)
+            return image + FockVector.unit(target) if (m, v) == (2, FockVector.unit(src)) else image
+
+        clear_memos()
+        try:
+            monkeypatch.setattr(basis_change, "create_b3", mutant)
+            results = verify.suite_roundtrip(6)
+            assert [r.ok for r in results] == [True, True, True, False, True]
+            assert results[3].name.startswith("shared-part choice independence")
+            assert json.loads(results[3].detail) == [{"pair": target.as_json_obj()}]
         finally:
             monkeypatch.undo()
             clear_memos()
