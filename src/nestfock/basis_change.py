@@ -457,13 +457,13 @@ def _expansion_matrix(source, target, n, row_keys, col_keys, expand) -> Transiti
     return TransitionMatrix._of(source, target, n, row_keys, col_keys, map(_ratio_row, rows))
 
 
-def _gram(a: TransitionMatrix, weight) -> tuple[tuple[Fraction, ...], ...]:
+def _gram(a: TransitionMatrix, weight) -> TransitionMatrix:
     """G = A W A^T with W = diag(weight) over the column keys of A, as A @ (W A^T)."""
-    return (a @ _transport_inverse(a, lambda k: 1, weight)).rows
+    return a @ _transport_inverse(a, lambda k: 1, weight)
 
 
 @lru_cache(maxsize=None)
-def gram_b3(n: int) -> tuple[tuple[Fraction, ...], ...]:
+def gram_b3(n: int) -> TransitionMatrix:
     """Gram matrix of the curve basis under the operator-basis pairing.
 
     G = A Z A^T with A = b3_in_b2 and Z = diag z(nu).

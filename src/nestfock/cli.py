@@ -6,11 +6,12 @@ transition  emit a change-of-basis matrix between b1, b2, b3
 product     emit structure constants of a normalized or ordinary product
 betti       emit the Betti table up to a maximum degree
 pairs       emit the incidence pairs of one degree
-verify      run an identity suite; exit 0 iff everything passes
+verify      run an identity suite; exit 0 iff every check passes
 
 Output is deterministic: fixed key orders and canonical fraction
-strings, never floats.  Matrices are cached as JSON documents under
-the cache directory (flag ``--cache-dir``, else the environment
+strings, never floats; ``verify`` prints each check's case count and
+writes its seconds to stderr.  Matrices are cached as JSON documents
+under the cache directory (flag ``--cache-dir``, else the environment
 variable NESTFOCK_CACHE_DIR, else ``.nestfock-cache``).
 
 Each call pays only for its own subcommand.  A plain argument list (a
@@ -268,18 +269,24 @@ def cmd_pairs(args, error) -> int:
 
 
 def cmd_verify(args, error) -> int:
+    from time import perf_counter
+
     from .verify import run_suite
 
     if args.max_n is not None:
         _check_range(error, "max-n", args.max_n, args.max_degree)
+    start = perf_counter()
     results = run_suite(args.suite, args.max_n)
     failed = 0
     for r in results:
         if r.ok:
-            sys.stdout.write(f"ok   {r.name}\n")
+            sys.stdout.write(f"ok   {r.name} ({r.cases} cases)\n")
         else:
             failed += 1
             sys.stdout.write(f"FAIL {r.name}: {r.detail}\n")
+        # a check's time runs from the end of the one before it
+        sys.stderr.write(f"{r.finished - start:.3f} s  {r.name}\n")
+        start = r.finished
     sys.stdout.write(f"{len(results) - failed}/{len(results)} checks passed\n")
     return 1 if failed else 0
 

@@ -5,6 +5,9 @@ i + |nu| = n: the class obtained from the vacuum by the nu-indexed
 creation operators followed by i translations.  All coefficients are
 Fractions; no floating point is used anywhere.
 
+The n-point creation basis is the translation-free part, keys (0, nu)
+read as nu, and its creation and annihilation are the ones above.
+
 Every basis with a diagonal pairing (operator, fixed-point, n-point
 fixed and n-point creation) pairs through ``diagonal_pairing``; the
 named pairings only supply the weight of a key.
@@ -194,7 +197,7 @@ def annihilation(n: int, v: FockVector) -> FockVector:
 
 def translate(v: FockVector) -> FockVector:
     """Translation operator: (i, nu) -> (i+1, nu)."""
-    return FockVector._wrap({B2Key(k.i + 1, k.nu): c for k, c in v.items()})
+    return translate_pow(v, 1)
 
 
 def cotranslate(v: FockVector) -> FockVector:
@@ -253,21 +256,16 @@ def pair_hilb_p(v: FockVector, w: FockVector) -> Fraction:
     return diagonal_pairing(v, w, z_factor)
 
 
+def _on_n_point(op, n: int, v: FockVector) -> FockVector:
+    """op(n, -) of the operator basis on the keys (0, nu) of v, read back as nu."""
+    return op(n, v.map_keys(lambda nu: B2Key(0, nu))).map_keys(lambda k: k.nu)
+
+
 def hilb_creation(n: int, v: FockVector) -> FockVector:
-    """Creation on the n-point side: insert a part n into each key."""
-    if n < 1:
-        raise ValueError("creation index must be positive")
-    return v.map_keys(lambda nu: insert_part(nu, n))
+    """Creation on the n-point side: the operator-basis creation on the keys (0, nu)."""
+    return _on_n_point(creation, n, v)
 
 
 def hilb_annihilation(n: int, v: FockVector) -> FockVector:
-    """Annihilation on the n-point side: nu -> n*m_n(nu)*(nu minus n)."""
-    if n < 1:
-        raise ValueError("annihilation index must be positive")
-    out = []
-    for nu, c in v.items():
-        m = nu.multiplicity(n)
-        if m:
-            out.append((remove_part(nu, n), c * n * m))
-    return FockVector(out)
-
+    """Annihilation on the n-point side: the operator-basis annihilation on the keys (0, nu)."""
+    return _on_n_point(annihilation, n, v)

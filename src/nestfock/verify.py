@@ -1,8 +1,11 @@
 """Machine-checkable identity suites.
 
-Every suite returns a list of CheckResult records; a failed check
-carries a counterexample payload.  The suites back the ``verify``
-command and the acceptance tests.  All comparisons are exact.
+Every suite returns a list of CheckResult records.  Each record counts
+the cases (keys, pairs or rows) its check compared and stamps the
+``perf_counter`` time at which the check finished.  A failed check
+carries a counterexample payload, and a check that compared no case
+fails as ``vacuous``.  The suites back the ``verify`` command and the
+acceptance tests.  All comparisons are exact.
 
 The operator relations are checked on each basis key through the
 conjugated operators of ``basis_change``, each built once per index and
@@ -14,6 +17,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import factorial
+from time import perf_counter
 from typing import Callable, NamedTuple
 
 from .basis_change import (
@@ -78,12 +82,14 @@ class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
+    cases: int = 0
+    finished: float = 0.0  # perf_counter() when the check was done
 
 
-def _result(name: str, failures: list) -> CheckResult:
-    if not failures:
-        return CheckResult(name, True)
-    return CheckResult(name, False, json.dumps(failures[:3], default=str))
+def _result(name: str, failures: list, cases: int) -> CheckResult:
+    """The check's record; it fails on its first failures, or as vacuous with no case."""
+    detail = json.dumps(failures[:3], default=str) if failures else ("" if cases else "vacuous")
+    return CheckResult(name, not detail, detail, cases, perf_counter())
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +112,7 @@ def _b1_translate_pow(v: FockVector, n: int, j: int) -> FockVector:
 def suite_hooks(max_n: int = 10) -> list[CheckResult]:
     """Sum rules for the incidence hook products, one pass over the pairs of each degree."""
     bad_lam, bad_mu = [], []
+    lams = mus = 0
     for n in range(max_n + 1):
         by_lam: dict[Partition, Fraction] = {}
         by_mu: dict[Partition, Fraction] = {}
@@ -113,6 +120,8 @@ def suite_hooks(max_n: int = 10) -> list[CheckResult]:
             h = h_pair(p)
             by_lam[p.lam] = by_lam.get(p.lam, 0) + Fraction(hook_product(p.lam) ** 2, h)
             by_mu[p.mu] = by_mu.get(p.mu, 0) + Fraction(hook_product(p.mu) ** 2, h)
+        lams += len(partition_keys(n))
+        mus += len(by_mu)
         for lam in partition_keys(n):
             total = by_lam.get(lam, 0)
             if total != 1:
@@ -121,14 +130,15 @@ def suite_hooks(max_n: int = 10) -> list[CheckResult]:
             if total != mu.size:
                 bad_mu.append({"mu": mu.as_list(), "sum": str(total)})
     return [
-        _result(f"sum over mu of h(lam)^2/h(lam,mu) = 1, |lam| <= {max_n}", bad_lam),
-        _result(f"sum over lam of h(mu)^2/h(lam,mu) = |mu|, |mu| <= {max_n + 1}", bad_mu),
+        _result(f"sum over mu of h(lam)^2/h(lam,mu) = 1, |lam| <= {max_n}", bad_lam, lams),
+        _result(f"sum over lam of h(mu)^2/h(lam,mu) = |mu|, |mu| <= {max_n + 1}", bad_mu, mus),
     ]
 
 
 def suite_euler(max_n: int = 8) -> list[CheckResult]:
     """Weight-multiset oracle against the closed Euler class formulas."""
     bad_full, bad_pos = [], []
+    pairs = sum(len(pair_keys(n)) for n in range(max_n + 1))
     for n in range(max_n + 1):
         for p in pair_keys(n):
             weights = tangent_weights_incidence(p)
@@ -148,8 +158,8 @@ def suite_euler(max_n: int = 8) -> list[CheckResult]:
                     {"pair": p.as_json_obj(), "positive": pos, "expected": h_plus(p)}
                 )
     return [
-        _result(f"weight product = (-1)^(n+1) h(lam,mu), n <= {max_n}", bad_full),
-        _result(f"positive weight product = h_plus(lam,mu), n <= {max_n}", bad_pos),
+        _result(f"weight product = (-1)^(n+1) h(lam,mu), n <= {max_n}", bad_full, pairs),
+        _result(f"positive weight product = h_plus(lam,mu), n <= {max_n}", bad_pos, pairs),
     ]
 
 
@@ -162,7 +172,7 @@ def suite_heisenberg(max_n: int = 6) -> list[CheckResult]:
     max_n, each on every basis key of the source degree.
     """
     indices = [i for a in range(1, 5) for i in (-a, a)]
-    bad = []
+    bad, cases = [], 0
     for p in indices:
         for q in indices:
             if p > q:
@@ -172,6 +182,7 @@ def suite_heisenberg(max_n: int = 6) -> list[CheckResult]:
                 if any(x < 0 or x > max_n for x in inter):
                     continue
                 for key in pair_keys(d):
+                    cases += 1
                     v = FockVector.unit(key)
                     comm = _b1_heis(p, _b1_heis(q, v, d), d - q) - _b1_heis(
                         q, _b1_heis(p, v, d), d - p
@@ -179,22 +190,24 @@ def suite_heisenberg(max_n: int = 6) -> list[CheckResult]:
                     if comm != (p * v if p == -q else FockVector()):
                         bad.append({"p": p, "q": q, "degree": d})
                         break
-    out = [_result(f"[a_p, a_q] = p delta Id on degrees <= {max_n}, |p|,|q| <= 4", bad)]
+    out = [_result(f"[a_p, a_q] = p delta Id on degrees <= {max_n}, |p|,|q| <= 4", bad, cases)]
 
-    bad = []
+    bad, cases = [], 0
     for d in range(max_n):
         for key in pair_keys(d):
+            cases += 1
             v = FockVector.unit(key)
             if b1_cotranslate(b1_translate(v, d), d + 1) != v:
                 bad.append({"degree": d, "key": key.as_json_obj()})
-    out.append(_result(f"cotranslate after translate = Id, degrees < {max_n}", bad))
+    out.append(_result(f"cotranslate after translate = Id, degrees < {max_n}", bad, cases))
 
-    bad = []
+    bad, cases = [], 0
     for p in indices:
         for d in range(max_n + 1):
             if not (0 <= d - p and d - p + 1 <= max_n and d + 1 <= max_n):
                 continue
             for key in pair_keys(d):
+                cases += 1
                 v = FockVector.unit(key)
                 if b1_translate(_b1_heis(p, v, d), d - p) != _b1_heis(
                     p, b1_translate(v, d), d + 1
@@ -208,7 +221,7 @@ def suite_heisenberg(max_n: int = 6) -> list[CheckResult]:
                     bad.append(
                         {"p": p, "degree": d, "key": key.as_json_obj(), "side": "adjoint"}
                     )
-    out.append(_result(f"translation pair commutes with a_p, degrees <= {max_n}", bad))
+    out.append(_result(f"translation pair commutes with a_p, degrees <= {max_n}", bad, cases))
     return out
 
 
@@ -248,13 +261,14 @@ def suite_loop(max_n: int = 6) -> list[CheckResult]:
                 rhs = {ids.get(B2Key(key.i + j1 + j2, key.nu), -1): p} if p == -q else {}
                 if lhs != rhs:
                     bad.append({"j1": j1, "j2": j2, "p": p, "q": q, "key": key.as_json_obj()})
-    res = [_result(f"loop bracket identities on degrees <= {max_n}", bad)]
+    cases = len(ops) ** 2 * len(keys)
+    res = [_result(f"loop bracket identities on degrees <= {max_n}", bad, cases)]
 
     bad = []
     for key in keys:
         if loop_action(1, 0, FockVector.unit(key)):
             bad.append({"key": key.as_json_obj()})
-    res.append(_result("index-0 generator acts as zero", bad))
+    res.append(_result("index-0 generator acts as zero", bad, len(keys)))
     return res
 
 
@@ -265,11 +279,12 @@ def suite_pairing(max_n: int = 8) -> list[CheckResult]:
     and Z = diag z(nu); the product is the Gram helper's, which
     evaluates each weight once and sums over the nonzero entries of B.
     """
-    bad = []
+    bad, cases = [], 0
     for n in range(max_n + 1):
         mat = b2_in_b1(n)
         keys = mat.row_keys
-        gram = _gram(mat, h_pair)
+        gram = _gram(mat, h_pair).rows
+        cases += len(keys) * (len(keys) + 1) // 2
         for a, ka in enumerate(keys):
             for b in range(a, len(keys)):
                 lhs = z_factor(ka.nu) if a == b else 0
@@ -284,17 +299,18 @@ def suite_pairing(max_n: int = 8) -> list[CheckResult]:
                             "rhs": str(rhs),
                         }
                     )
-    return [_result(f"pair_b2 = pair_b1 after change of basis, n <= {max_n}", bad)]
+    return [_result(f"pair_b2 = pair_b1 after change of basis, n <= {max_n}", bad, cases)]
 
 
 def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
     """Round trips, the shape of M = b3_in_b1 and choice independence of A."""
+    matrix_rows = sum(len(pair_keys(n)) for n in range(max_n + 1))
     bad = [
         {"degree": n}
         for n in range(max_n + 1)
         if b1_in_b2(n) @ b2_in_b1(n) != transition_matrix("b1", "b1", n)
     ]
-    out = [_result(f"b1_in_b2 * b2_in_b1 = Id, n <= {max_n}", bad)]
+    out = [_result(f"b1_in_b2 * b2_in_b1 = Id, n <= {max_n}", bad, matrix_rows)]
 
     # with A Z A^T = M H M^T below this pins M: G has one LDL^T along dominance
     bad = []
@@ -305,35 +321,36 @@ def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
             for q in _misses(mat, a, le, Fraction(1, h_plus(p))):
                 bad.append({"degree": n, "row": p.as_json_obj(), "col": q.as_json_obj()})
     name = f"b3_in_b1 triangular for product dominance, diagonal 1/h_plus, n <= {max_n}"
-    out.append(_result(name, bad))
+    out.append(_result(name, bad, matrix_rows))
 
     bad = []
     for n in range(max_n + 1):
         mat = b3_in_b1(n)
-        keys = mat.row_keys
         lhs, rhs = gram_b3(n), _gram(mat, h_pair)
-        for a, p in enumerate(keys):
-            for b, q in enumerate(keys):
-                if lhs[a][b] != rhs[a][b]:
-                    bad.append({"degree": n, "row": p.as_json_obj(), "col": q.as_json_obj()})
-    out.append(_result(f"gram consistency A Z A^T = M H M^T, n <= {max_n}", bad))
+        if lhs != rhs:  # list the entries that differ
+            for a, p in enumerate(mat.row_keys):
+                for b, q in enumerate(mat.row_keys):
+                    if lhs.rows[a][b] != rhs.rows[a][b]:
+                        bad.append({"degree": n, "row": p.as_json_obj(), "col": q.as_json_obj()})
+    out.append(_result(f"gram consistency A Z A^T = M H M^T, n <= {max_n}", bad, matrix_rows))
 
     # every row from every shared part: by induction every sequence of choices gives A
-    bad = []
+    bad, cases = [], 0
     for n in range(min(max_n, 6) + 1):
         rows, tables = dict(zip(pair_keys(n), b3_in_b2_matrix(n).int_rows)), {}
         for p, row in rows.items():
             shared = set(p.lam.parts) & set(p.mu.parts)
+            cases += len(shared)
             if any(_curve_row(p, m, rows, tables) != row for m in shared):
                 bad.append({"pair": p.as_json_obj()})
-    out.append(_result(f"shared-part choice independence, n <= {min(max_n, 6)}", bad))
+    out.append(_result(f"shared-part choice independence, n <= {min(max_n, 6)}", bad, cases))
 
     bad = [
         {"degree": n}
         for n in range(max_n + 1)
         if b2_in_b3(n) @ b3_in_b2_matrix(n) != transition_matrix("b2", "b2", n)
     ]
-    out.append(_result(f"b2_in_b3 * b3_in_b2 = Id, n <= {max_n}", bad))
+    out.append(_result(f"b2_in_b3 * b3_in_b2 = Id, n <= {max_n}", bad, matrix_rows))
     return out
 
 
@@ -350,13 +367,14 @@ def _misses(mat, a: int, le, diagonal: Fraction) -> list:
 def suite_phi(max_n: int = 9) -> list[CheckResult]:
     """Symmetric-function dictionary checks."""
     # L P = 1 with P the counted p -> m matrix, independent of the curve classes
+    lams = sum(len(partition_keys(n)) for n in range(max_n + 1))
     bad = []
     for n in range(max_n + 1):
         in_m = hilb_L_in_p_matrix(n) @ _p_to_m(n)
         for lam in in_m.row_keys:
             if in_m.expand(lam) != FockVector.unit(lam):
                 bad.append({"lambda": lam.as_list()})
-    out = [_result(f"curve classes map to monomial functions, |lam| <= {max_n}", bad)]
+    out = [_result(f"curve classes map to monomial functions, |lam| <= {max_n}", bad, lams)]
 
     bad = []
     for n in range(max_n + 1):
@@ -365,11 +383,13 @@ def suite_phi(max_n: int = 9) -> list[CheckResult]:
                 want = z_factor(lam) if lam == mu else 0
                 if hall_pairing(FockVector.unit(lam), FockVector.unit(mu)) != want:
                     bad.append({"lambda": lam.as_list(), "mu": mu.as_list()})
-    out.append(_result(f"Hall pairing is z_lam delta, |lam| <= {max_n}", bad))
+    pairs = sum(len(partition_keys(n)) ** 2 for n in range(max_n + 1))
+    out.append(_result(f"Hall pairing is z_lam delta, |lam| <= {max_n}", bad, pairs))
 
     # with the norm: Kostka unitriangularity of h(lam) s_lam, with no characters
     bad = []
     limit = min(max_n, 8)
+    lams = sum(len(partition_keys(n)) for n in range(limit + 1))
     for n in range(limit + 1):
         mat = hilb_fixed_in_p(n)
         in_m = mat @ _p_to_m(n)
@@ -380,7 +400,7 @@ def suite_phi(max_n: int = 9) -> list[CheckResult]:
             for mu in _misses(in_m, a, dominance_le, Fraction(hook_product(lam))):
                 bad.append({"lambda": lam.as_list(), "mu": mu.as_list(), "check": "monomial"})
     name = f"fixed classes have norm h^2 and image h(lam) m_lam + lower terms, |lam| <= {limit}"
-    out.append(_result(name, bad))
+    out.append(_result(name, bad, lams))
 
     # X F = L with X triangular and diag 1/h pins F, given the norm check:
     # the Gram matrix L Z L^T has one LDL^T factorization along dominance
@@ -392,9 +412,11 @@ def suite_phi(max_n: int = 9) -> list[CheckResult]:
         for a, lam in enumerate(mat.row_keys):
             for mu in _misses(mat, a, dominance_le, Fraction(1, hook_product(lam))):
                 bad.append({"degree": n, "lambda": lam.as_list(), "mu": mu.as_list()})
-    out.append(_result(f"curve classes L F^-1 triangular, diagonal 1/h, |lam| <= {limit}", bad))
+    name = f"curve classes L F^-1 triangular, diagonal 1/h, |lam| <= {limit}"
+    out.append(_result(name, bad, lams))
 
     bad = []
+    pairs = sum(len(partition_keys(n)) ** 2 for n in range(min(max_n, 6) + 1))
     for n in range(min(max_n, 6) + 1):
         for lam in partition_keys(n):
             for mu in partition_keys(n):
@@ -411,7 +433,7 @@ def suite_phi(max_n: int = 9) -> list[CheckResult]:
                 if sig != want:
                     bad.append({"lambda": lam.as_list(), "mu": mu.as_list()})
     out.append(
-        _result(f"diagonal law for normalized fixed classes, n <= {min(max_n, 6)}", bad)
+        _result(f"diagonal law for normalized fixed classes, n <= {min(max_n, 6)}", bad, pairs)
     )
     return out
 
@@ -420,25 +442,27 @@ def suite_diagrams(max_n: int = 6) -> list[CheckResult]:
     """Comparison-map diagrams, ring homomorphism and pairing transport laws."""
     out = []
 
-    bad = []
+    bad, cases = [], 0
     for m in range(1, 5):
         for d in range(max_n - m + 1):
             for lam in partition_keys(d):
+                cases += 1
                 v = FockVector.unit(lam)
                 if pullback_f(fixed_creation(m, v, d)) != b1_creation(m, pullback_f(v), d):
                     bad.append({"m": m, "lambda": lam.as_list()})
-    out.append(_result(f"pullback_f intertwines creation, degrees <= {max_n}", bad))
+    out.append(_result(f"pullback_f intertwines creation, degrees <= {max_n}", bad, cases))
 
-    bad = []
+    bad, cases = [], 0
     for m in range(1, 5):
         for dd in range(m + 1, max_n + 2):
             for mu in partition_keys(dd):
+                cases += 1
                 v = FockVector.unit(mu)
                 lhs = pullback_g(fixed_annihilation(m, v, dd))
                 rhs = b1_annihilation(m, pullback_g(v), dd - 1)
                 if lhs != rhs:
                     bad.append({"m": m, "mu": mu.as_list()})
-    out.append(_result(f"pullback_g intertwines annihilation, degrees <= {max_n}", bad))
+    out.append(_result(f"pullback_g intertwines annihilation, degrees <= {max_n}", bad, cases))
 
     bad = []
     for m in range(1, max_n + 1):
@@ -448,13 +472,14 @@ def suite_diagrams(max_n: int = 6) -> list[CheckResult]:
         if lhs != rhs:
             bad.append({"m": m})
     out.append(
-        _result(f"vacuum relation g(a_-m vacuum) = m t^(m-1) vacuum, m <= {max_n}", bad)
+        _result(f"vacuum relation g(a_-m vacuum) = m t^(m-1) vacuum, m <= {max_n}", bad, max_n)
     )
 
-    bad = []
+    bad, cases = [], 0
     for m in range(1, 5):
         for dd in range(1, max_n - m + 2):
             for mu in partition_keys(dd):
+                cases += 1
                 v = FockVector.unit(mu)
                 lhs = pullback_g(fixed_creation(m, v, dd))
                 rhs = b1_creation(m, pullback_g(v), dd - 1) - Fraction(m) * (
@@ -462,30 +487,32 @@ def suite_diagrams(max_n: int = 6) -> list[CheckResult]:
                 )
                 if lhs != rhs:
                     bad.append({"m": m, "mu": mu.as_list()})
-    out.append(_result(f"mixed relation for g after creation, degrees <= {max_n}", bad))
+    out.append(_result(f"mixed relation for g after creation, degrees <= {max_n}", bad, cases))
 
     limit = min(max_n, 5)
-    bad = []
+    bad, cases = [], 0
     for n in range(limit + 1):
         # f starts from n points, g from n + 1 points
         for name, pull, size in (("f", pullback_f, n), ("g", pullback_g, n + 1)):
             for lam in partition_keys(size):
                 for mu in partition_keys(size):
+                    cases += 1
                     x, y = FockVector.unit(lam), FockVector.unit(mu)
                     if pull(star_hilb(x, y, size)) != star_b1(pull(x), pull(y), n):
                         bad.append({"map": name, "lambda": lam.as_list(), "mu": mu.as_list()})
-    out.append(_result(f"comparison maps are ring homomorphisms, n <= {limit}", bad))
+    out.append(_result(f"comparison maps are ring homomorphisms, n <= {limit}", bad, cases))
 
-    bad = []
+    bad, cases = [], 0
     for n in range(max_n + 1):
         # g scales the pairing by the number n + 1 of points it starts from
         for name, pull, size, scale in (("f", pullback_f, n, 1), ("g", pullback_g, n + 1, n + 1)):
             for lam in partition_keys(size):
                 for mu in partition_keys(size):
+                    cases += 1
                     x, y = FockVector.unit(lam), FockVector.unit(mu)
                     if pair_b1(pull(x), pull(y)) != scale * pair_hilb_fixed(x, y):
                         bad.append({"map": name, "lambda": lam.as_list(), "mu": mu.as_list()})
-    out.append(_result(f"bilinear form transport laws, n <= {max_n}", bad))
+    out.append(_result(f"bilinear form transport laws, n <= {max_n}", bad, cases))
     return out
 
 
@@ -505,6 +532,7 @@ def suite_ordinary(max_n: int = 4) -> list[CheckResult]:
         return FockVector([(f, c * d) for e, c in vec.items() for f, d in row(e).vec.items()])
 
     bad_unit, bad_ring, bad_degree = [], [], []
+    dims = [len(operator_keys(n)) for n in range(max_n + 1)]
     for n in range(max_n + 1):
         keys = operator_keys(n)
         basis = {k: OrdinaryClass(n, FockVector.unit(k)) for k in keys}
@@ -540,10 +568,11 @@ def suite_ordinary(max_n: int = 4) -> list[CheckResult]:
                 if (half >= len(betti) or betti[half] == 0) and prod.vec:
                     bad_degree.append({"n": n, "law": "betti vanishing"})
 
+    pairs, triples = sum(d ** 2 for d in dims), sum(d ** 3 for d in dims)
     out = [
-        _result(f"unit exists with u_n = n!, n <= {max_n}", bad_unit),
-        _result(f"commutative and associative on basis triples, n <= {max_n}", bad_ring),
-        _result(f"degree additivity and Betti-zero vanishing, n <= {max_n}", bad_degree),
+        _result(f"unit exists with u_n = n!, n <= {max_n}", bad_unit, sum(dims)),
+        _result(f"commutative and associative on basis triples, n <= {max_n}", bad_ring, triples),
+        _result(f"degree additivity and Betti-zero vanishing, n <= {max_n}", bad_degree, pairs),
     ]
     top = OrdinaryClass(1, FockVector.unit(B2Key(1, Partition())))
     square = ordinary_cup(top, top)
@@ -551,6 +580,7 @@ def suite_ordinary(max_n: int = 4) -> list[CheckResult]:
         _result(
             "top class squares to zero on the 1-point incidence scheme",
             [] if not square.vec else [{"square": repr(square.vec)}],
+            1,
         )
     )
     return out
@@ -574,7 +604,7 @@ def suite_betti(max_n: int = 12) -> list[CheckResult]:
                     "operator_keys": keys,
                 }
             )
-    return [_result(f"betti series = cell counts = dimensions, n <= {max_n}", bad)]
+    return [_result(f"betti series = cell counts = dimensions, n <= {max_n}", bad, max_n + 1)]
 
 
 SUITES: dict[str, tuple[Callable[[int], list[CheckResult]], int]] = {

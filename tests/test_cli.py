@@ -410,17 +410,38 @@ class TestExitPath:
 
     def test_passing_verify_exits_zero(self, tmp_path):
         res = run_cli("verify", "--suite", "ordinary", "--max-n", "2", cwd=tmp_path)
-        assert res.returncode == 0 and res.stderr == ""
+        assert res.returncode == 0
         assert res.stdout.endswith(" checks passed\n") and "FAIL" not in res.stdout
         res = run_cli("verify", "--suite", "ordinary", "--max-n", "6", cwd=tmp_path)
-        assert res.returncode == 0 and res.stderr == ""
+        assert res.returncode == 0
+        # the degree-n pieces have 1, 2, 4, 7, 12, 19, 30 keys: the unit is
+        # checked on each key, the ring laws on each triple, the degrees on each pair
+        names = [
+            "unit exists with u_n = n!, n <= 6",
+            "commutative and associative on basis triples, n <= 6",
+            "degree additivity and Betti-zero vanishing, n <= 6",
+            "top class squares to zero on the 1-point incidence scheme",
+        ]
         assert res.stdout == (
-            "ok   unit exists with u_n = n!, n <= 6\n"
-            "ok   commutative and associative on basis triples, n <= 6\n"
-            "ok   degree additivity and Betti-zero vanishing, n <= 6\n"
-            "ok   top class squares to zero on the 1-point incidence scheme\n"
+            f"ok   {names[0]} (75 cases)\n"
+            f"ok   {names[1]} (36003 cases)\n"
+            f"ok   {names[2]} (1475 cases)\n"
+            f"ok   {names[3]} (1 cases)\n"
             "4/4 checks passed\n"
         )
+        # stdout stays deterministic: the seconds of each check go to stderr
+        lines = res.stderr.splitlines()
+        assert [line.split(" s  ", 1)[1] for line in lines] == names
+        assert all(Fraction(line.split(" s  ", 1)[0]) >= 0 for line in lines)
+
+    @pytest.mark.parametrize("suite", ["heisenberg", "diagrams"])
+    def test_vacuous_checks_fail(self, tmp_path, suite):
+        """At --max-n 0 no Heisenberg relation and no operator diagram has a case to compare."""
+        res = run_cli("verify", "--suite", suite, "--max-n", "0", cwd=tmp_path)
+        assert res.returncode == 1
+        vacuous = [line for line in res.stdout.splitlines() if line.endswith(": vacuous")]
+        assert len(vacuous) == {"heisenberg": 3, "diagrams": 4}[suite]
+        assert all(line.startswith("FAIL ") for line in vacuous)
 
 
 class TestBettiAndPairs:

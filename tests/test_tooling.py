@@ -1,4 +1,4 @@
-"""Test tooling: the names the benchmark's tracer wraps, and the memo reset of the tests."""
+"""Test tooling: the names the benchmark's tracer wraps, its verify ops, and the memo reset of the tests."""
 
 import importlib
 import importlib.util
@@ -14,15 +14,17 @@ from nestfock.verify import run_suite
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name):
+    """A module of perfbench, which is not a package, loaded by its file path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", TRACER.with_name(f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def wrapped_names():
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     names = []
     for table in (tracer.SPAN_GROUPS, tracer.LEAF_GROUPS, tracer.COUNT_ONLY):
         for quals in table.values():
@@ -48,6 +50,14 @@ def test_traced_name_resolves(qual):
     else:
         obj = getattr(obj, attrs[0])
     assert callable(obj)
+
+
+@pytest.mark.parametrize("suite, max_n", load_perfbench("workloads").VERIFY_MAX_N.items())
+def test_benchmark_verify_ops_pass_with_cases(suite, max_n):
+    # the verify-suites workload fails an op that prints a FAIL line, and a
+    # check that compares no case prints one
+    results = run_suite(suite, max_n)
+    assert results and [r.name for r in results if not (r.ok and r.cases > 0)] == []
 
 
 def test_traced_cli_call_matches_plain_call(tmp_path):

@@ -127,6 +127,13 @@ def test_every_suite_reports_its_checks():
         assert all(r.ok for r in results), suite
 
 
+def test_a_check_that_compares_no_case_fails_as_vacuous(monkeypatch):
+    # with no pair of any degree, both Euler checks loop over nothing
+    assert all(r.ok and r.cases for r in verify.suite_euler(2))
+    monkeypatch.setattr(verify, "pair_keys", lambda n: ())
+    assert [r[1:4] for r in verify.suite_euler(2)] == [(False, "vacuous", 0)] * 2
+
+
 class TestSuitePairing:
     def test_passes_unperturbed(self):
         assert all(r.ok for r in verify.suite_pairing(5))
@@ -270,7 +277,7 @@ class TestSuiteRoundtrip:
         assert rows[0][1]
         rows[0][1] = -rows[0][1]
         flipped = with_rows(mat, rows)
-        lhs, rhs = gram_b3(n), _gram(flipped, h_pair)
+        lhs, rhs = gram_b3(n).rows, _gram(flipped, h_pair).rows
         assert all(lhs[a][a] == rhs[a][a] for a in range(len(rows)))
         monkeypatch.setattr(verify, "b3_in_b1", lambda m: flipped if m == n else b3_in_b1(m))
         results = verify.suite_roundtrip(n)
@@ -457,6 +464,32 @@ class TestSuitePhi:
         (res,) = [r for r in verify.suite_phi(3) if r.name.startswith(name)]
         assert not res.ok
         assert {"lambda": [2, 1], "mu": [3], "check": "monomial"} in json.loads(res.detail)
+
+
+class TestCharacterMutant:
+    def test_bumped_character_fails_the_pairing_and_the_norm(self, monkeypatch):
+        """chi^(2,1)((3)) + 1 in the one character table that B and F are built from.
+
+        B's row (0, (3)) moves, so the transport law B H B^T = Z fails at
+        degree 3 and at no lower degree, and the fixed class of (2, 1)
+        leaves its norm h^2.
+        """
+        character = basis_change.character
+
+        def wrong(lam, nu):
+            return character(lam, nu) + ((lam, nu) == (Partition([2, 1]), Partition([3])))
+
+        clear_memos()
+        try:
+            monkeypatch.setattr(basis_change, "character", wrong)
+            results = {r.name: r for r in verify.suite_pairing(3) + verify.suite_phi(3)}
+        finally:
+            monkeypatch.undo()
+            clear_memos()
+        pairing = results["pair_b2 = pair_b1 after change of basis, n <= 3"]
+        assert not pairing.ok and {f["degree"] for f in json.loads(pairing.detail)} == {3}
+        norm = results["fixed classes have norm h^2 and image h(lam) m_lam + lower terms, |lam| <= 3"]
+        assert not norm.ok and {"lambda": [2, 1], "check": "norm"} in json.loads(norm.detail)
 
 
 class TestSuiteOrdinary:
