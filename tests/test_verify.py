@@ -134,6 +134,82 @@ def test_a_check_that_compares_no_case_fails_as_vacuous(monkeypatch):
     assert [r[1:4] for r in verify.suite_euler(2)] == [(False, "vacuous", 0)] * 2
 
 
+# (name, cases) of every check of run_suite("all", max_n), at 3 and at the defaults
+CHECK_CASES = {
+    3: [
+        ("sum over mu of h(lam)^2/h(lam,mu) = 1, |lam| <= 3", 7),
+        ("sum over lam of h(mu)^2/h(lam,mu) = |mu|, |mu| <= 4", 11),
+        ("weight product = (-1)^(n+1) h(lam,mu), n <= 3", 14),
+        ("positive weight product = h_plus(lam,mu), n <= 3", 14),
+        ("[a_p, a_q] = p delta Id on degrees <= 3, |p|,|q| <= 4", 34),
+        ("cotranslate after translate = Id, degrees < 3", 7),
+        ("translation pair commutes with a_p, degrees <= 3", 14),
+        ("loop bracket identities on degrees <= 3", 4536),
+        ("index-0 generator acts as zero", 14),
+        ("pair_b2 = pair_b1 after change of basis, n <= 3", 42),
+        ("b1_in_b2 * b2_in_b1 = Id, n <= 3", 14),
+        ("b3_in_b1 triangular for product dominance, diagonal 1/h_plus, n <= 3", 14),
+        ("gram consistency A Z A^T = M H M^T, n <= 3", 14),
+        ("shared-part choice independence, n <= 3", 11),
+        ("b2_in_b3 * b3_in_b2 = Id, n <= 3", 14),
+        ("curve classes map to monomial functions, |lam| <= 3", 7),
+        ("Hall pairing is z_lam delta, |lam| <= 3", 15),
+        ("fixed classes have norm h^2 and image h(lam) m_lam + lower terms, |lam| <= 3", 7),
+        ("curve classes L F^-1 triangular, diagonal 1/h, |lam| <= 3", 7),
+        ("diagonal law for normalized fixed classes, n <= 3", 15),
+        ("pullback_f intertwines creation, degrees <= 3", 7),
+        ("pullback_g intertwines annihilation, degrees <= 3", 23),
+        ("vacuum relation g(a_-m vacuum) = m t^(m-1) vacuum, m <= 3", 3),
+        ("mixed relation for g after creation, degrees <= 3", 10),
+        ("comparison maps are ring homomorphisms, n <= 3", 54),
+        ("bilinear form transport laws, n <= 3", 54),
+        ("unit exists with u_n = n!, n <= 3", 14),
+        ("commutative and associative on basis triples, n <= 3", 416),
+        ("degree additivity and Betti-zero vanishing, n <= 3", 70),
+        ("top class squares to zero on the 1-point incidence scheme", 1),
+        ("betti series = cell counts = dimensions, n <= 3", 4),
+    ],
+    None: [
+        ("sum over mu of h(lam)^2/h(lam,mu) = 1, |lam| <= 10", 139),
+        ("sum over lam of h(mu)^2/h(lam,mu) = |mu|, |mu| <= 11", 194),
+        ("weight product = (-1)^(n+1) h(lam,mu), n <= 8", 187),
+        ("positive weight product = h_plus(lam,mu), n <= 8", 187),
+        ("[a_p, a_q] = p delta Id on degrees <= 6, |p|,|q| <= 4", 757),
+        ("cotranslate after translate = Id, degrees < 6", 45),
+        ("translation pair commutes with a_p, degrees <= 6", 205),
+        ("loop bracket identities on degrees <= 6", 24300),
+        ("index-0 generator acts as zero", 75),
+        ("pair_b2 = pair_b1 after change of basis, n <= 8", 4088),
+        ("b1_in_b2 * b2_in_b1 = Id, n <= 8", 187),
+        ("b3_in_b1 triangular for product dominance, diagonal 1/h_plus, n <= 8", 187),
+        ("gram consistency A Z A^T = M H M^T, n <= 8", 187),
+        ("shared-part choice independence, n <= 6", 96),
+        ("b2_in_b3 * b3_in_b2 = Id, n <= 8", 187),
+        ("curve classes map to monomial functions, |lam| <= 9", 97),
+        ("Hall pairing is z_lam delta, |lam| <= 9", 1819),
+        ("fixed classes have norm h^2 and image h(lam) m_lam + lower terms, |lam| <= 8", 67),
+        ("curve classes L F^-1 triangular, diagonal 1/h, |lam| <= 8", 67),
+        ("diagonal law for normalized fixed classes, n <= 6", 210),
+        ("pullback_f intertwines creation, degrees <= 6", 42),
+        ("pullback_g intertwines annihilation, degrees <= 6", 155),
+        ("vacuum relation g(a_-m vacuum) = m t^(m-1) vacuum, m <= 6", 6),
+        ("mixed relation for g after creation, degrees <= 6", 64),
+        ("comparison maps are ring homomorphisms, n <= 5", 298),
+        ("bilinear form transport laws, n <= 6", 644),
+        ("unit exists with u_n = n!, n <= 4", 26),
+        ("commutative and associative on basis triples, n <= 4", 2144),
+        ("degree additivity and Betti-zero vanishing, n <= 4", 214),
+        ("top class squares to zero on the 1-point incidence scheme", 1),
+        ("betti series = cell counts = dimensions, n <= 12", 13),
+    ],
+}
+
+
+@pytest.mark.parametrize("max_n", list(CHECK_CASES))
+def test_every_check_counts_its_cases(max_n):
+    assert [(r.name, r.cases) for r in verify.run_suite("all", max_n)] == CHECK_CASES[max_n]
+
+
 class TestSuitePairing:
     def test_passes_unperturbed(self):
         assert all(r.ok for r in verify.suite_pairing(5))
