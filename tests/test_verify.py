@@ -605,6 +605,27 @@ class TestSuiteOrdinary:
         assert status == 1
         assert "FAIL unit exists with u_n = n!, n <= 3: " in capsys.readouterr().out
 
+    def test_a_unit_that_raises_counts_no_key_of_its_degree(self, monkeypatch):
+        """The unit check compares no key of a degree whose unit cannot be built."""
+        unit_data = ring._unit_data
+
+        def broken(m):
+            if m == 2:
+                raise ArithmeticError("unit normalization vanished at degree 2")
+            return unit_data(m)
+
+        clear_memos()
+        try:
+            monkeypatch.setattr(ring, "_unit_data", broken)
+            unit = verify.suite_ordinary(3)[0]
+        finally:
+            monkeypatch.undo()
+            clear_memos()
+        assert unit.name == "unit exists with u_n = n!, n <= 3" and not unit.ok
+        error = "unit normalization vanished at degree 2"
+        assert json.loads(unit.detail) == [{"n": 2, "error": error}]
+        assert unit.cases == sum(len(operator_keys(n)) for n in (0, 1, 3))
+
     @pytest.mark.parametrize(
         "shift, failing",
         [
