@@ -394,19 +394,17 @@ def b3_in_b2(pair: IncidencePair) -> FockVector:
 def b3_in_b2_matrix(n: int) -> TransitionMatrix:
     """Curve basis in the operator basis, A, by a double induction on size and length.
 
-    The size-0 key is the vacuum; for a one-part lam the two keys are the
-    pure translate (n, empty) and the difference (0, (n)) - (n, empty).
-    Every other row, in order of increasing length of lam, is ``_curve_row``
-    from the largest part that lam and mu share.
+    A pair whose lam and mu share no part has a one-part mu: (empty, (1))
+    or ((n), (n + 1)).  Its row is column 0, the pure translate (n, empty)
+    and the vacuum at n = 0.  Every other row, in order of increasing
+    length of lam, is ``_curve_row`` from the largest part that lam and mu
+    share; the row of ((n), (n, 1)) strips n down to the vacuum.
     """
-    keys, cols, built, tables = pair_keys(n), operator_keys(n), {}, {}
+    keys, built, tables = pair_keys(n), {}, {}
     for pair in sorted(keys, key=lambda p: p.lam.length):
-        lam, mu = pair
-        if lam.length <= 1:  # column 0 is (n, empty), the vacuum at n = 0
-            built[pair] = (((0, 1),) if mu.length == 1 else ((0, -1), (cols.index(B2Key(0, lam)), 1)), 1)
-        else:
-            built[pair] = _curve_row(pair, max(set(lam.parts) & set(mu.parts)), built, tables)
-    return TransitionMatrix._of("b3", "b2", n, keys, cols, map(built.get, keys))
+        shared = set(pair.lam.parts) & set(pair.mu.parts)
+        built[pair] = _curve_row(pair, max(shared), built, tables) if shared else (((0, 1),), 1)
+    return TransitionMatrix._of("b3", "b2", n, keys, operator_keys(n), map(built.get, keys))
 
 
 def _curve_row(pair: IncidencePair, m: int, built: dict, tables: dict) -> tuple[tuple, int]:
