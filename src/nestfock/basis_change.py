@@ -785,11 +785,12 @@ def cache_store(matrix: TransitionMatrix, cache_dir) -> Path:
 
 
 def cache_load(source: str, target: str, n: int, cache_dir) -> TransitionMatrix | None:
-    """Load a stored matrix; None on absence or version mismatch.
+    """Load a stored matrix; None on absence or on a version string that is not ours.
 
-    A file that exists but fails to parse or verify, or that holds
-    another matrix than its name says (its tags, an integer n and the key
-    books of both bases at n), raises CacheError.
+    A file that exists but fails to parse or verify, that has no string
+    ``version``, or that holds another matrix than its name says (its
+    tags, an integer n and the key books of both bases at n), raises
+    CacheError.
     """
     path = _cache_path(cache_dir, source, target, n)
     if not path.exists():
@@ -798,9 +799,9 @@ def cache_load(source: str, target: str, n: int, cache_dir) -> TransitionMatrix 
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CacheError(f"unreadable cache file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
+    if not isinstance(doc, dict) or not isinstance(doc.get("version"), str):
         raise CacheError(f"malformed cache file {path}")
-    if doc.get("version") != LIBRARY_VERSION:
+    if doc["version"] != LIBRARY_VERSION:
         return None
     wrong = f"cache file {path} is not the {source}->{target} matrix at n={n}"
     head = (doc.get("source"), doc.get("target"), doc.get("n"))

@@ -795,6 +795,12 @@ class TestCache:
         path.write_text(json.dumps(doc))
         assert cache_load("b2", "b1", 1, tmp_path) is None
 
+    @pytest.mark.parametrize("doc", [{}, {"version": 1}], ids=["absent", "not_a_string"])
+    def test_document_without_a_version_string_is_damaged(self, tmp_path, doc):
+        (tmp_path / "b1--b2--1.json").write_text(json.dumps(doc))
+        with pytest.raises(CacheError, match="malformed cache file"):
+            cache_load("b1", "b2", 1, tmp_path)
+
     def test_concurrent_writers_leave_a_valid_document(self, tmp_path):
         script = (
             "import sys\n"

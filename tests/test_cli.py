@@ -217,6 +217,15 @@ class TestDeterminismAndCache:
         again = run_cli(*args, cwd=tmp_path)
         assert again.returncode == 0 and again.stdout == fresh.stdout
 
+    def test_cache_document_without_a_version_is_loud(self, tmp_path):
+        cache = tmp_path / ".nestfock-cache"
+        cache.mkdir()
+        (cache / "b1--b2--1.json").write_text("{}")
+        res = run_cli("transition", "--from", "b1", "--to", "b2", "-n", "1", cwd=tmp_path)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("error: malformed cache file")
+        assert (cache / "b1--b2--1.json").read_text() == "{}"
+
     @pytest.mark.parametrize("change", ["compact", "unreduced entry"])
     def test_valid_noncanonical_document_prints_canonical_bytes(self, tmp_path, change):
         # a compact document and one holding "2/12" for "1/6", each with a
