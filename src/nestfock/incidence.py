@@ -16,8 +16,8 @@ strong consistency check on both.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -153,41 +153,23 @@ def marked_cells(pair: IncidencePair) -> MarkedCells:
     return MarkedCells(k, sq, sqp)
 
 
-def _marked_product(pair: IncidencePair, power: int, above_k_only: bool, name: str) -> int:
-    """hook_product(lam)^power times the h_pair factors of j != k (j > k if above_k_only).
-
-    A result that is not a positive integer signals a marked-cell bug.
-    """
-    lam = pair.lam
-    mc = marked_cells(pair)
-    num, den = hook_product(lam) ** power, 1
-    for j in mc.sq:
-        if j > mc.k or not above_k_only:
-            num *= 1 + hook_length(lam, mc.sq[j])
-            den *= hook_length(lam, mc.sqp[j])
-    if num % den or num <= 0:
-        msg = f"{name} = {Fraction(num, den)} is not a positive integer for {pair}"
-        raise ArithmeticError(msg)
-    return num // den
-
-
 @lru_cache(maxsize=None)
 def h_pair(pair: IncidencePair) -> int:
-    """Corrected hook product h(lam, mu) of an incidence pair.
+    """h(lam, mu) = h(lam) h(mu): the paper's marked-cell product in closed form.
 
-    Equal to hook_product(lam)^2 times the product over j != k of
-    (1 + hook(sq[j])) / hook(sqp[j]).
+    Adding the corner (r, c) raises by one only the hooks of the c cells of lam left
+    of it and the r cells above it, so h(mu)/h(lam) = prod (h + 1)/h over those hooks
+    of lam (Frame, Robinson and Thrall).  Along a block of equal parts (or columns)
+    they are consecutive, so it telescopes to prod_{j != k} (1 + hook(sq[j]))/hook(sqp[j]).
     """
-    return _marked_product(pair, 2, False, "h(lam, mu)")
+    return hook_product(pair.lam) * hook_product(pair.mu)
 
 
 def h_plus(pair: IncidencePair) -> int:
-    """Positive-part hook product h_plus(lam, mu).
-
-    Equal to hook_product(lam) times the product of the h_pair factors
-    for j > k only.
-    """
-    return _marked_product(pair, 1, True, "h_plus")
+    """h(lam) times the j > k half of h(mu)/h(lam) (see h_pair): row r, left of c."""
+    lam, (r, c) = pair.lam, pair.added_cell
+    hooks = [lam[r] - j + col - r - 1 for j, col in enumerate(lam.conjugate()[:c])]
+    return hook_product(lam) * prod(h + 1 for h in hooks) // prod(hooks)
 
 
 def euler_class(pair: IncidencePair) -> EulerClass:
