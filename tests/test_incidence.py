@@ -17,6 +17,7 @@ from nestfock.incidence import (
     tangent_weights_incidence,
 )
 from nestfock.partitions import Cell, Partition, enumerate_partitions, hook_product, step_length
+from oracles import marked_product
 
 P = Partition
 
@@ -148,6 +149,22 @@ class TestHookProducts:
         for n in range(8):
             for p in enumerate_incidence_pairs(n):
                 assert h_pair(p) % h_plus(p) == 0
+
+    def test_closed_forms_match_the_marked_cell_oracle(self):
+        pairs = [p for n in range(13) for p in enumerate_incidence_pairs(n)]
+        assert len(pairs) == 890
+        for p in pairs:
+            assert h_pair(p) == marked_product(p, 2, False, "h(lam, mu)"), p
+            assert h_plus(p) == marked_product(p, 1, True, "h_plus"), p
+
+    def test_conjugation_laws(self):
+        # sigma: (lam, mu) -> (lam', mu') keeps h and swaps the two halves of h
+        pairs = [p for n in range(12) for p in enumerate_incidence_pairs(n)]
+        assert len(pairs) == 618
+        for p in pairs:
+            q = IncidencePair(p.lam.conjugate(), p.mu.conjugate())
+            assert h_pair(q) == h_pair(p), p
+            assert h_plus(q) * h_plus(p) == h_pair(p), p
 
 
 class TestEulerClass:
