@@ -26,7 +26,7 @@ their nonzero entries alone (``_ratio_row`` and ``_stored_row``), and A,
 B, A^-1, ``@`` and ``apply`` sum rows by one loop, ``_combine``.  No
 route solves, inverts or builds a dense row: the Gram solve of
 A Z A^T = M H M^T, the Gauss-Jordan ``mat_inv`` and the dense ``mat_mul``
-stay only as oracles for verify and the tests.
+stay as test oracles, named by perfbench's tracer; verify uses none.
 
 The Hilbert side is read off the incidence side: the n-point curve class
 L_lam in the creation basis is the slice (0, nu) of the incidence curve
@@ -55,6 +55,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -89,7 +90,7 @@ BASIS_TAGS = ("b1", "b2", "b3")
 
 
 class CacheError(Exception):
-    """A persisted matrix document is damaged or inconsistent."""
+    """A persisted matrix document is damaged, inconsistent or cannot be written."""
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +566,10 @@ def b2_in_b3(n: int) -> TransitionMatrix:
 def _translation(n: int) -> TransitionMatrix:
     """Translation from degree n to n + 1 in fixed-point coordinates.
 
-    A checked identity, fitted from the exact matrices: [lam, mu] goes to
-    the sum over rho = mu + one cell of h(mu)^2 / (h(mu, rho) (c(rho/mu) -
-    c(mu/lam))) [mu, rho], with c(cell) = column - row.  An addable and a
-    removable cell of mu never share a diagonal, so no denominator is 0.
+    A checked identity, fitted from the exact matrices: [lam, mu] goes to the
+    sum over rho = mu + one cell of h(mu) / (h(rho) (c(rho/mu) - c(mu/lam))) [mu, rho],
+    with c(cell) = column - row and h(mu)^2 / h(mu, rho) = h(mu) / h(rho).  An addable
+    and a removable cell of mu never share a diagonal, so no denominator is 0.
     """
     src, dst = pair_keys(n), pair_keys(n + 1)
     content = lambda p: p.added_cell.col - p.added_cell.row
@@ -585,7 +586,7 @@ def b2_in_b1(n: int) -> TransitionMatrix:
 
     The rows (i, nu) with i > 0 translate the rows (i - 1, nu) of degree
     n - 1, listed in the same order; row (0, nu) holds
-    h(lam) chi^lam(nu) / h(lam, mu) at [lam, mu].
+    h(lam) chi^lam(nu) / h(lam, mu) = chi^lam(nu) / h(mu) at [lam, mu].
     """
     pairs = pair_keys(n)
     rows = list((b2_in_b1(n - 1) @ _translation(n - 1)).int_rows) if n else []
@@ -769,18 +770,21 @@ def cache_store(matrix: TransitionMatrix, cache_dir) -> Path:
 
     The document goes to a temporary file in the same directory that
     then replaces the target, so a reader never sees a partial write.
+    Any OSError raises CacheError, and no failure leaves the temporary file.
     """
     path = _cache_path(cache_dir, matrix.source, matrix.target, matrix.degree)
-    path.parent.mkdir(parents=True, exist_ok=True)
     # the process and thread ids keep concurrent writers apart
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w") as fh:
             fh.write(matrix.json_text())
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except OSError as exc:
+        raise CacheError(f"cannot write cache file {path}: {exc}") from exc
+    finally:
+        with suppress(OSError):
+            tmp.unlink()
     return path
 
 
@@ -793,11 +797,11 @@ def cache_load(source: str, target: str, n: int, cache_dir) -> TransitionMatrix 
     CacheError.
     """
     path = _cache_path(cache_dir, source, target, n)
-    if not path.exists():
-        return None
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise CacheError(f"unreadable cache file {path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("version"), str):
         raise CacheError(f"malformed cache file {path}")

@@ -215,7 +215,7 @@ def cmd_product(args, error) -> int:
 
     try:
         left, right = [None if text is None else parse(text) for text in (args.a, args.b)]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         error(f"cannot parse key: {exc}")
     keys = pair_keys(n) if args.basis == "b1" else operator_keys(n)
     for key, label in ((left, "a"), (right, "b")):

@@ -801,6 +801,36 @@ class TestCache:
         with pytest.raises(CacheError, match="malformed cache file"):
             cache_load("b1", "b2", 1, tmp_path)
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["regular_file", "path_under_a_file"])
+    def test_unusable_cache_directory_is_a_cache_error(self, tmp_path, sub):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        with pytest.raises(CacheError, match="^cannot write cache file"):
+            cache_store(b2_in_b1(1), blocker / sub if sub else blocker)
+        assert blocker.read_text() == "" and sorted(tmp_path.iterdir()) == [blocker]
+
+    def test_failed_replace_is_a_cache_error_and_leaves_no_temporary_file(self, tmp_path):
+        (tmp_path / "b2--b1--1.json").mkdir()  # the target is a directory: os.replace fails
+        with pytest.raises(CacheError, match="^cannot write cache file"):
+            cache_store(b2_in_b1(1), tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["b2--b1--1.json"]
+
+    @pytest.mark.parametrize(
+        "text", [b"\xff\xfe", b"[" * 100_000], ids=["not_utf8", "nested_too_deep"]
+    )
+    def test_undecodable_document_is_unreadable(self, tmp_path, text):
+        (tmp_path / "b2--b1--1.json").write_bytes(text)
+        with pytest.raises(CacheError, match="^unreadable cache file"):
+            cache_load("b2", "b1", 1, tmp_path)
+
+    def test_cache_directory_name_too_long_is_a_cache_error(self, tmp_path):
+        with pytest.raises(CacheError, match="^unreadable cache file"):
+            cache_load("b2", "b1", 1, tmp_path / ("x" * 5000))
+
+    def test_cache_directory_under_a_regular_file_is_a_miss(self, tmp_path):
+        (tmp_path / "blocker").write_text("")
+        assert cache_load("b2", "b1", 1, tmp_path / "blocker") is None
+
     def test_concurrent_writers_leave_a_valid_document(self, tmp_path):
         script = (
             "import sys\n"

@@ -226,6 +226,15 @@ class TestDeterminismAndCache:
         assert res.stderr.startswith("error: malformed cache file")
         assert (cache / "b1--b2--1.json").read_text() == "{}"
 
+    @pytest.mark.parametrize("cache_dir", ["blocker", "blocker/sub"])
+    def test_unusable_cache_directory_is_loud(self, tmp_path, cache_dir):
+        (tmp_path / "blocker").write_text("")
+        args = ("transition", "--from", "b2", "--to", "b1", "-n", "2", "--cache-dir", cache_dir)
+        res = run_cli(*args, cwd=tmp_path)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("error: cannot write cache file")
+        assert "Traceback" not in res.stderr
+
     @pytest.mark.parametrize("change", ["compact", "unreduced entry"])
     def test_valid_noncanonical_document_prints_canonical_bytes(self, tmp_path, change):
         # a compact document and one holding "2/12" for "1/6", each with a
@@ -333,6 +342,11 @@ class TestProduct:
                 out, err = capsys.readouterr()
                 assert out == "" and "cannot parse key" in err, args
 
+    def test_too_deeply_nested_key_is_usage_error(self, tmp_path):
+        res = run_cli("product", "--basis", "b1", "-n", "2", "--a", "[" * 100_000, cwd=tmp_path)
+        assert res.returncode == 2 and res.stdout == ""
+        assert "cannot parse key" in res.stderr and "Traceback" not in res.stderr
+
 
 class TestExitPath:
     """``python -m nestfock`` flushes and ends the process without interpreter teardown."""
@@ -375,7 +389,7 @@ class TestExitPath:
             (["pairs", "-n", "2"], 0, False),
             (["transition", "--from", "b2", "--to", "b1", "-n", "2", "--cache-dir", "damaged"], 1, False),
             (["product", "--basis", "b5", "-n", "2"], 2, True),
-            (["transition", "--from", "b2", "--to", "b1", "-n", "2", "--cache-dir", "a-file"], 1, True),
+            (["betti", "--max-n", "2"], 1, True),
         ],
         ids=["output", "cache-error", "usage-error", "uncaught-error"],
     )
@@ -383,12 +397,12 @@ class TestExitPath:
         # an atexit handler runs on the interpreter's own exit and not on os._exit
         (tmp_path / "damaged").mkdir()
         (tmp_path / "damaged" / "b2--b1--2.json").write_text("{not json")
-        (tmp_path / "a-file").write_text("")
         probe = (
             "import atexit, sys\n"
             "atexit.register(sys.stderr.write, 'teardown\\n')\n"
-            "from nestfock.cli import run\n"
-            "run(sys.argv[1:])\n"
+            "from nestfock import cli\n"
+            "cli.COMMANDS['betti'] = lambda args, error: 1 // 0  # an uncaught error\n"
+            "cli.run(sys.argv[1:])\n"
         )
         res = run_probe(probe, *args, cwd=tmp_path)
         assert res.returncode == status
@@ -398,8 +412,8 @@ class TestExitPath:
             with contextlib.redirect_stdout(buf):
                 assert cli.main(args) == 0
             assert res.stdout == buf.getvalue() and res.stderr == ""
-        if args[-1] == "a-file":
-            assert "Traceback" in res.stderr
+        if args[0] == "betti":
+            assert "ZeroDivisionError" in res.stderr and "Traceback" in res.stderr
 
     def test_console_script_enters_through_run(self):
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
