@@ -8,10 +8,9 @@ h(lam, mu) and h_plus(lam, mu) computed here are the magnitudes of the
 equivariant Euler classes of the full tangent space and of its
 positive part.
 
-Two independent routes to the Euler class are provided: the closed
-marked-cell formula (h_pair) and an explicit assembly of the tangent
-weight multiset (tangent_weights_incidence); their agreement is a
-strong consistency check on both.
+Two routes to the Euler class share only hook lengths: the closed forms
+h_pair = h(lam) h(mu) and h_plus, and the tangent weights that
+tangent_weights_incidence assembles from the marked cells.
 """
 
 from __future__ import annotations
