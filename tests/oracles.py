@@ -8,14 +8,7 @@ from nestfock.basis_change import TransitionMatrix, operator_keys, pair_keys
 from nestfock.curve_classes import add_part, create_b3, translate_b3_pow
 from nestfock.fock import B2Key, FockVector, creation, hilb_creation, translate_pow
 from nestfock.incidence import IncidencePair, h_pair, marked_cells
-from nestfock.partitions import (
-    Cell,
-    Corner,
-    Partition,
-    hook_length,
-    hook_product,
-    remove_part,
-)
+from nestfock.partitions import Cell, Corner, Partition, hook_length, hook_product, remove_part
 from nestfock.ring import star_b1, star_tilde
 
 
@@ -175,13 +168,13 @@ def addable_corners(lam: Partition) -> list[Corner]:
     ]
 
 
-def marked_product(pair: IncidencePair, power: int, above_k_only: bool, name: str) -> int:
+def marked_product(pair: IncidencePair, power: int, above_k_only: bool) -> int:
     """hook_product(lam)^power times the marked-cell factors of j != k (j > k if above_k_only).
 
     The factor of corner j is (1 + hook(sq[j])) / hook(sqp[j]), read off
-    the paper's marked cells.  h(lam, mu) is marked_product(pair, 2,
-    False, ...) and h_plus(lam, mu) is marked_product(pair, 1, True,
-    ...).  A result that is not a positive integer signals a marked-cell bug.
+    the paper's marked cells: h(lam, mu) is marked_product(pair, 2, False)
+    and h_plus(lam, mu) is marked_product(pair, 1, True).  A result that
+    is not a positive integer signals a marked-cell bug.
     """
     lam = pair.lam
     mc = marked_cells(pair)
@@ -191,8 +184,7 @@ def marked_product(pair: IncidencePair, power: int, above_k_only: bool, name: st
             num *= 1 + hook_length(lam, mc.sq[j])
             den *= hook_length(lam, mc.sqp[j])
     if num % den or num <= 0:
-        msg = f"{name} = {Fraction(num, den)} is not a positive integer for {pair}"
-        raise ArithmeticError(msg)
+        raise ArithmeticError(f"{Fraction(num, den)} is not a positive integer for {pair}")
     return num // den
 
 

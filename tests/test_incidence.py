@@ -154,8 +154,8 @@ class TestHookProducts:
         pairs = [p for n in range(13) for p in enumerate_incidence_pairs(n)]
         assert len(pairs) == 890
         for p in pairs:
-            assert h_pair(p) == marked_product(p, 2, False, "h(lam, mu)"), p
-            assert h_plus(p) == marked_product(p, 1, True, "h_plus"), p
+            assert h_pair(p) == marked_product(p, 2, False), p
+            assert h_plus(p) == marked_product(p, 1, True), p
 
     def test_conjugation_laws(self):
         # sigma: (lam, mu) -> (lam', mu') keeps h and swaps the two halves of h
