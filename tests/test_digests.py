@@ -3,7 +3,8 @@
 Every transition and product op of ``perfbench/workloads.digest_universe``
 runs in-process through ``cli.main`` with a fresh cache directory.  The
 sha256 of its stdout, and of the cache document it writes, must match
-``perfbench/digests.json``, which this test only reads.
+``perfbench/digests.json``, which this test only reads.  The routes at
+degrees above the benchmark's are pinned in ``tests/route_digests.json``.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from nestfock import cli
+from nestfock.basis_change import transition_matrix
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,3 +53,20 @@ def test_every_op_reproduces_the_reference_digests(tmp_path):
             if sha256(doc) != digests["cache"][op.cache_key]:
                 mismatches.append(op.cache_key)
     assert not mismatches
+
+
+def test_routes_above_the_benchmark_degrees_reproduce_their_digests():
+    """The six routes at n = 8..11 hash as pinned in ``tests/route_digests.json``.
+
+    Each entry is the sha256 of ``json_text()`` for "source--target--n".  The
+    file is regenerated only for an intended change of output, never to make
+    this test pass.
+    """
+    digests = json.loads((Path(__file__).with_name("route_digests.json")).read_text())
+    routes = [(s, t) for s in ("b1", "b2", "b3") for t in ("b1", "b2", "b3") if s != t]
+    got = {
+        f"{s}--{t}--{n}": sha256(transition_matrix(s, t, n).json_text().encode())
+        for n in range(8, 12)
+        for s, t in routes
+    }
+    assert len(got) == 24 and got == digests
