@@ -7,11 +7,12 @@ deterministically:
 * b2 - operator basis, keys = (i, nu) with i descending;
 * b3 - curve basis, keys = incidence pairs in enumeration order.
 
-The curve basis in the operator basis, A, is a double induction on
-size and length: each row is the creation operator a_-m on a row of
-degree n - m, less rows of the same degree built before it, with m the
-largest part that lam and mu share (``_curve_row``, the one step, which
-verify runs from every other shared part as well).  The
+The curve basis in the operator basis, A, solves the curve-basis
+creation rule a row at a time, in the order (length of lam, value == 0):
+with m the largest part that lam and mu share, a row is a_-m, which only
+inserts m into nu, on a row of degree n - m, less the other terms of the
+rule, each a row of degree n built before it (``_curve_row``, the one
+step, which verify runs from every other shared part as well).  The
 operator basis in the fixed-point basis, B, and in the curve basis,
 A^-1, are closed-form from the words (i, nu) = t^i a_-nu on the vacuum:
 the rows (0, nu) come from the character table and the curve-basis
@@ -36,7 +37,7 @@ class of lam is h(lam) s_lam, so the fixed classes in the creation basis
 the curve classes in the fixed classes are L F^-1.  Both sides run
 through the same helpers: ``_expansion_matrix`` (the one builder of
 operator tables: curve classes, p -> m, conjugated operators and the
-a_-m and t^m tables of A and A^-1), ``@``, ``_transport_inverse`` (the
+a_-m and t tables of A^-1), ``@``, ``_transport_inverse`` (the
 rescaled transpose) and ``_conjugated`` (an operator carried into
 fixed-point coordinates, built once per index and degree as the product
 of the change of basis, the operator's own table and the change back).
@@ -61,7 +62,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from pathlib import Path
 
-from .curve_classes import create_b3, translate_b3_linear, translate_b3_pow
+from .curve_classes import create_b3, translate_b3_linear
 from .fock import (
     B2Key,
     FockVector,
@@ -71,7 +72,6 @@ from .fock import (
     creation,
     hilb_annihilation,
     hilb_creation,
-    translate_pow,
 )
 from .incidence import IncidencePair, enumerate_incidence_pairs, h_pair
 from .partitions import (
@@ -393,64 +393,59 @@ def b3_in_b2(pair: IncidencePair) -> FockVector:
 
 @lru_cache(maxsize=None)
 def b3_in_b2_matrix(n: int) -> TransitionMatrix:
-    """Curve basis in the operator basis, A, by a double induction on size and length.
+    """Curve basis in the operator basis, A, built in the order (length of lam, value == 0).
 
     A pair whose lam and mu share no part has a one-part mu: (empty, (1))
-    or ((n), (n + 1)).  Its row is column 0, the pure translate (n, empty)
-    and the vacuum at n = 0.  Every other row, in order of increasing
-    length of lam, is ``_curve_row`` from the largest part that lam and mu
-    share; the row of ((n), (n, 1)) strips n down to the vacuum.
+    or ((n), (n + 1)); its row is column 0, the pure translate (n, empty)
+    and the vacuum at n = 0.  Every other row is ``_curve_row`` from the
+    largest part m that lam and mu share; the row of ((n), (n, 1)) strips
+    n to the vacuum.  The order builds every term of create_b3(m, src)
+    other than the target P before P: src, P stripped of one m, has P's
+    value, so every such term has a lam one part shorter, save one.  That
+    is the absorption term when P has value 0: (lam, lam with one part m
+    raised to m + 1), whose value m > 0 puts it before P in the order.
     """
-    keys, built, tables = pair_keys(n), {}, {}
-    for pair in sorted(keys, key=lambda p: p.lam.length):
+    keys, built = pair_keys(n), {}
+    for pair in sorted(keys, key=lambda p: (p.lam.length, p.value == 0)):
         shared = set(pair.lam.parts) & set(pair.mu.parts)
-        built[pair] = _curve_row(pair, max(shared), built, tables) if shared else (((0, 1),), 1)
+        built[pair] = _curve_row(pair, max(shared), built) if shared else (((0, 1),), 1)
     return TransitionMatrix._of("b3", "b2", n, keys, operator_keys(n), map(built.get, keys))
 
 
-def _curve_row(pair: IncidencePair, m: int, built: dict, tables: dict) -> tuple[tuple, int]:
+@lru_cache(maxsize=None)
+def _operator_index(n: int) -> dict[B2Key, int]:
+    """Operator key of degree n -> its column."""
+    return {k: j for j, k in enumerate(operator_keys(n))}
+
+
+def _curve_row(pair: IncidencePair, m: int, built: dict) -> tuple[tuple, int]:
     """The stored row of A at pair from a part m shared by lam and mu.
 
-    Strip one copy of m from both, apply the curve-basis creation operator
-    to the stripped key and solve for the target term.  a_-m and the
-    absorption term, the m-fold translate of the stripped key, map the
-    columns of the stripped key's row of degree n - m; every other term
-    has shorter lam and is read from ``built``.  ``tables`` keeps the
-    tables of a_-m and t^m of this degree, each built on first use.  A does
-    not depend on the choice of m, which verify checks one step at a time.
+    Strip one copy of m from both to get src and solve create_b3(m, src)
+    for the target term: a_-m inserts m into nu, so it relabels the
+    columns of src's row of degree n - m, and every other term is read
+    from ``built``.  A does not depend on m, which verify checks one step at a time.
     """
     n = pair.lam.size
     src = IncidencePair(remove_part(pair.lam, m), remove_part(pair.mu, m))
     below = b3_in_b2_matrix(n - m)
-    if m not in tables:  # the rows of a_-m and of t^m on each column of degree n - m
-        unit = FockVector.unit
-        tables[m] = [
-            _expansion_matrix("b2", "b2", n - m, below.col_keys, operator_keys(n), op).int_rows
-            for op in (lambda k: creation(m, unit(k)), lambda k: translate_pow(unit(k), m))
-        ]
-    create, shift = tables[m]
     terms = create_b3(m, FockVector.unit(src))
     target = int(terms[pair])
     if not target:
         raise RuntimeError(f"target {pair} missing from expansion of {src}")
     word, d = below.int_rows[below._index[src]]
-    absorption = translate_b3_pow(src, m)
-    parts = [(x, create[j]) for j, x in word]  # over d, so the other rows are scaled by d
-    for q, c in terms.items():
-        c = -int(c)
-        if q == absorption:
-            parts += [(c * x, shift[j]) for j, x in word]
-        elif q != pair:
-            parts.append((c * d, built[q]))
-    acc, den = _combine(parts, len(operator_keys(n)))
-    return _stored_row(enumerate(acc), den * d * target)
+    index, cols = _operator_index(n), below.col_keys
+    parts = [(1, ([(index[B2Key(cols[j].i, insert_part(cols[j].nu, m))], x) for j, x in word], d))]
+    parts += [(-int(c), built[q]) for q, c in terms.items() if q != pair]
+    acc, den = _combine(parts, len(index))
+    return _stored_row(enumerate(acc), den * target)
 
 
 def _expansion_matrix(source, target, n, row_keys, col_keys, expand) -> TransitionMatrix:
     """Matrix whose row for key k is stored from the nonzero terms of the vector expand(k).
 
     The one builder of operator tables: the conjugated operators, the n-point curve
-    classes, the counted p -> m matrix and the a_-m and t^m tables of A and A^-1."""
+    classes, the counted p -> m matrix and the a_-m and t tables of A^-1."""
     index = {q: j for j, q in enumerate(col_keys)}
     rows = [sorted((index[q], *c.as_integer_ratio()) for q, c in expand(k).items()) for k in row_keys]
     return TransitionMatrix._of(source, target, n, row_keys, col_keys, map(_ratio_row, rows))

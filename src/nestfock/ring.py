@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter, mul
 
-from .basis_change import b1_in_b2, b2_in_b1, pair_keys
+from .basis_change import _operator_index, b1_in_b2, b2_in_b1, pair_keys
 from .fock import B2Key, FockVector, b2_degree, vector_degree
 from .incidence import IncidencePair, derive_lambda, h_pair
 from .partitions import Partition, add_corner, canonical_generators, hook_product, z_factor
@@ -108,7 +108,7 @@ def _contraction_data(n: int):
     by_length: dict = {}
     for c, k in enumerate(keys):
         by_length.setdefault(k.nu.length, []).append(c)
-    return keys, {k: a for a, k in enumerate(keys)}, nums, h2, denoms, by_length, {}
+    return keys, _operator_index(n), nums, h2, denoms, by_length, {}
 
 
 def _sums(n: int, pairs, ordinary: bool):

@@ -339,10 +339,10 @@ def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
     # every row from every shared part: by induction every sequence of choices gives A
     bad = Failures()
     for n in range(min(max_n, 6) + 1):
-        rows, tables = dict(zip(pair_keys(n), b3_in_b2_matrix(n).int_rows)), {}
+        rows = dict(zip(pair_keys(n), b3_in_b2_matrix(n).int_rows))
         for p, row in rows.items():
             shared = set(p.lam.parts) & set(p.mu.parts)
-            if any(bad.found(_curve_row(p, m, rows, tables) != row) for m in shared):
+            if any(bad.found(_curve_row(p, m, rows) != row) for m in shared):
                 bad.append({"pair": p.as_json_obj()})
     out.append(_result(f"shared-part choice independence, n <= {min(max_n, 6)}", bad))
 

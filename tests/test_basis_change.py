@@ -53,6 +53,7 @@ from nestfock.basis_change import (
     partition_keys,
     transition_matrix,
 )
+from nestfock.curve_classes import translate_b3
 from nestfock.fock import (
     B2Key,
     FockVector,
@@ -143,18 +144,15 @@ class TestCurveInOperator:
     def test_one_memo_entry_per_degree_and_choice(self, monkeypatch):
         """Each degree is built and kept once, and every shared part gives its stored row.
 
-        The recursion reads the lower degrees through the public name.
+        The build order (length of lam, value == 0) is replayed for n <= 10:
+        each step sees only the rows built before it, from every shared part
+        (762 steps).  The recursion reads the lower degrees through the public name.
         """
         clear_memos()
         memo = b3_in_b2_matrix.cache_info
         a = b3_in_b2_matrix(3)
         size = memo().currsize
         assert b3_in_b2_matrix(3) is a and memo().currsize == size
-        rows = dict(zip(a.row_keys, a.int_rows))
-        for p, row in rows.items():
-            for m in set(p.lam.parts) & set(p.mu.parts):
-                assert basis_change._curve_row(p, m, rows, {}) == row
-        assert b3_in_b2_matrix(3) is a
         seen = []
         public = basis_change.b3_in_b2_matrix
         monkeypatch.setattr(basis_change, "b3_in_b2_matrix", lambda n: seen.append(n) or public(n))
@@ -163,6 +161,23 @@ class TestCurveInOperator:
         assert set(seen) > {4}
         monkeypatch.undo()
         clear_memos()
+        steps = 0
+        for n in range(11):
+            rows, built = dict(zip(pair_keys(n), b3_in_b2_matrix(n).int_rows)), {}
+            for p in sorted(rows, key=lambda p: (p.lam.length, p.value == 0)):
+                row = rows[p]
+                for m in set(p.lam.parts) & set(p.mu.parts):
+                    assert basis_change._curve_row(p, m, built) == row, (p, m)
+                    steps += 1
+                built[p] = row
+        assert steps == 762
+
+    def test_translation_commutes_with_a(self):
+        """A[translate_b3(p)] = translate(A[p]) on all 423 pairs with n <= 10."""
+        pairs = [p for n in range(11) for p in pair_keys(n)]
+        assert len(pairs) == 423
+        for p in pairs:
+            assert b3_in_b2(translate_b3(p)) == translate(b3_in_b2(p)), p
 
     def test_matrix_invertible(self):
         for n in range(6):
