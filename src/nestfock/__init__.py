@@ -2,14 +2,16 @@
 equivariant cohomology of incidence Hilbert schemes of the plane.
 
 Importing the package runs none of its modules.  Each submodule is
-registered lazily (``importlib.util.LazyLoader``): it is in
-``sys.modules`` at once, and its code runs on the first read of one of
-its attributes.  The names re-exported here resolve on first use
-(PEP 562), so a command pays only for the modules it uses.
+registered lazily: it is in ``sys.modules`` at once, and its code runs
+on the first read of one of its attributes.  The names re-exported here
+resolve on first use (PEP 562), so a command pays only for the modules
+it uses.
 """
 
 import sys
-from importlib.util import LazyLoader, find_spec, module_from_spec
+from importlib.util import find_spec, module_from_spec
+from threading import RLock
+from types import ModuleType
 
 # submodule -> the names the package re-exports from it
 _EXPORTS = {
@@ -48,19 +50,29 @@ _SOURCES["__version__"] = ("basis_change", "LIBRARY_VERSION")
 __all__ = sorted([*_EXPORTS, *(name for names in _EXPORTS.values() for name in names)])
 
 
-def _register_lazily(name: str):
-    spec = find_spec(f"{__name__}.{name}")
-    spec.loader = LazyLoader(spec.loader)
-    module = module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+_LOAD_LOCK, _RUNNING = RLock(), set()
+
+
+class _Lazy(ModuleType):
+    """A registered module whose code runs on the first read of an attribute, once, under
+    the load lock: a read from another thread waits until the module is filled (where
+    ``LazyLoader`` before Python 3.12.3 shows it empty), one from the running code does not."""
+
+    def __getattribute__(self, attr):
+        with _LOAD_LOCK:
+            if type(self) is _Lazy and self not in _RUNNING:
+                _RUNNING.add(self)
+                ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                self.__class__ = ModuleType
+            return ModuleType.__getattribute__(self, attr)
 
 
 # every module but cli, the entry point, which runs when it is imported
 for _name in (*_EXPORTS, "verify"):
-    globals()[_name] = _register_lazily(_name)
-del _name
+    _spec = find_spec(f"{__name__}.{_name}")
+    globals()[_name] = sys.modules[_spec.name] = module_from_spec(_spec)
+    globals()[_name].__class__ = _Lazy
+del _name, _spec
 
 
 def __getattr__(name: str):
@@ -68,8 +80,7 @@ def __getattr__(name: str):
         module, attr = _SOURCES[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(globals()[module], attr)
-    globals()[name] = value
+    value = globals()[name] = getattr(globals()[module], attr)
     return value
 
 

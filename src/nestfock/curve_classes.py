@@ -51,12 +51,6 @@ def translate_b3(pair: IncidencePair) -> IncidencePair:
     return IncidencePair(pair.mu, add_part(pair.mu, i + 1, 1))
 
 
-def translate_b3_pow(pair: IncidencePair, j: int) -> IncidencePair:
-    for _ in range(j):
-        pair = translate_b3(pair)
-    return pair
-
-
 def create_b3(m: int, v: FockVector) -> FockVector:
     """Creation of index m on the incidence curve basis.
 

@@ -1,9 +1,9 @@
 """Incidence pairs of partitions and their equivariant Euler classes.
 
 An incidence pair (lam, mu) consists of a partition lam of n and a
-partition mu of n+1 whose diagram is that of lam plus one addable
-corner.  These pairs index the torus fixed points of the incidence
-Hilbert scheme of n and n+1 points in the plane; the hook products
+partition mu of n+1 that raises one addable row of lam by one.  These
+pairs index the torus fixed points of the incidence Hilbert scheme of
+n and n+1 points in the plane; the hook products
 h(lam, mu) and h_plus(lam, mu) computed here are the magnitudes of the
 equivariant Euler classes of the full tangent space and of its
 positive part.
@@ -16,6 +16,7 @@ tangent_weights_incidence assembles from the marked cells.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from math import prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -23,7 +24,6 @@ from typing import NamedTuple
 from .partitions import (
     Cell,
     Partition,
-    add_corner,
     canonical_generators,
     hook_length,
     hook_product,
@@ -51,16 +51,12 @@ class IncidencePair(tuple):
     def __new__(cls, lam: Partition, mu: Partition) -> "IncidencePair":
         if mu.size != lam.size + 1:
             raise ValueError(f"sizes {lam.size}, {mu.size} are not consecutive")
-        cell = None
-        for r, m in enumerate(mu):
-            lp = lam[r] if r < len(lam) else 0
-            if m == lp + 1 and cell is None:
-                cell = Cell(r, lp)
-            elif m != lp:
-                raise ValueError(f"{mu} does not cover {lam}")
-        # with consecutive sizes some row of mu grows, so cell is set here
+        # with consecutive sizes, one differing row is one row grown by one cell
+        rows = [r for r, (m, lp) in enumerate(zip_longest(mu, lam, fillvalue=0)) if m != lp]
+        if len(rows) != 1:
+            raise ValueError(f"{mu} does not cover {lam}")
         self = super().__new__(cls, (lam, mu))
-        object.__setattr__(self, "added_cell", cell)
+        object.__setattr__(self, "added_cell", Cell(rows[0], mu[rows[0]] - 1))
         return self
 
     def __setattr__(self, name, value):
@@ -101,11 +97,15 @@ class EulerClass(NamedTuple):
 
 
 def enumerate_incidence_pairs(n: int) -> list[IncidencePair]:
-    """All pairs with |lam| = n, lam in reverse-lex order, corners top-down."""
+    """All pairs with |lam| = n: lam in reverse-lex order, then its addable rows top-down.
+
+    Row r of lam padded by a 0 is addable when r = 0 or lam[r-1] > lam[r].
+    """
     out = []
     for lam in partition_keys(n):
-        for corner in canonical_generators(lam):
-            out.append(IncidencePair(lam, add_corner(lam, corner.cell)))
+        for r, part in enumerate((*lam, 0)):
+            if r == 0 or lam[r - 1] > part:
+                out.append(IncidencePair(lam, Partition((*lam[:r], part + 1, *lam[r + 1:]))))
     return out
 
 
@@ -120,11 +120,9 @@ def derive_lambda(mu: Partition, i: int) -> Partition:
 
 
 def k_index(pair: IncidencePair) -> int:
-    """Index of the canonical generator of lam at the added corner."""
-    for corner in canonical_generators(pair.lam):
-        if corner.cell == pair.added_cell:
-            return corner.index
-    raise RuntimeError(f"added cell of {pair} is not an addable corner")
+    """Index of the canonical generator of lam at the added corner: the
+    number of distinct parts of lam greater than the value."""
+    return sum(v > pair.value for v in set(pair.lam))
 
 
 def marked_cells(pair: IncidencePair) -> MarkedCells:
@@ -208,10 +206,7 @@ def tangent_weights_incidence(pair: IncidencePair) -> list[int]:
     m = len(corners) - 1
     mc = marked_cells(pair)
     k = mc.k
-    p_k = corners[k].p  # None when k == m
-    q_k = corners[k].q  # None when k == 0
-    p1 = p_k == 1
-    q1 = q_k == 1
+    p1, q1 = corners[k].p == 1, corners[k].q == 1
 
     if q1 and not p1:  # case 1a
         units = [1]

@@ -198,21 +198,6 @@ def canonical_generators(lam: Partition) -> tuple[Corner, ...]:
     return tuple(corners)
 
 
-def add_corner(lam: Partition, cell: Cell) -> Partition:
-    """Partition obtained by adding an addable corner cell to the diagram."""
-    if cell.col == 0:
-        if cell.row != lam.length:
-            raise ValueError(f"{cell} is not an addable corner of {lam}")
-        return Partition(lam.parts + (1,))
-    if cell.row >= lam.length or lam[cell.row] != cell.col:
-        raise ValueError(f"{cell} is not an addable corner of {lam}")
-    if cell.row > 0 and lam[cell.row - 1] < cell.col + 1:
-        raise ValueError(f"{cell} is not an addable corner of {lam}")
-    ps = list(lam.parts)
-    ps[cell.row] += 1
-    return Partition(ps)
-
-
 @lru_cache(maxsize=None)
 def insert_part(lam: Partition, value: int) -> Partition:
     """Partition with one extra part of the given positive value."""

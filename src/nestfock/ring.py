@@ -41,8 +41,8 @@ from operator import itemgetter, mul
 
 from .basis_change import _operator_index, b1_in_b2, b2_in_b1, pair_keys
 from .fock import B2Key, FockVector, b2_degree, vector_degree
-from .incidence import IncidencePair, derive_lambda, h_pair
-from .partitions import Partition, add_corner, canonical_generators, hook_product, z_factor
+from .incidence import h_pair
+from .partitions import Partition, hook_product, z_factor
 
 
 def _diagonal_star(v: FockVector, w: FockVector, n: int, degree, weight) -> FockVector:
@@ -259,13 +259,14 @@ def ordinary_unit_scale(n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _pullback_image(mu: Partition, to_f: bool) -> tuple:
-    """Terms (pair, weight) of pullback_f([mu]) if to_f, else of pullback_g([mu])."""
+    """Terms (pair, weight) of pullback_f([mu]) if to_f, else of pullback_g([mu]).
+
+    The partners are the pairs in pair_keys whose lam (for f) or whose mu (for g) is mu.
+    """
     h2 = hook_product(mu) ** 2
     if to_f:
-        pairs = [IncidencePair(mu, add_corner(mu, c.cell)) for c in canonical_generators(mu)]
-        return tuple((p, -Fraction(h2, h_pair(p))) for p in pairs)
-    pairs = [IncidencePair(derive_lambda(mu, i), mu) for i in set(mu.parts)]
-    return tuple((p, Fraction(h2, h_pair(p))) for p in pairs)
+        return tuple((p, -Fraction(h2, h_pair(p))) for p in pair_keys(mu.size) if p.lam == mu)
+    return tuple((p, Fraction(h2, h_pair(p))) for p in pair_keys(mu.size - 1) if p.mu == mu)
 
 
 def pullback_f(v: FockVector) -> FockVector:

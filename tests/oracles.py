@@ -5,11 +5,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 from nestfock.basis_change import TransitionMatrix, operator_keys, pair_keys
-from nestfock.curve_classes import add_part, create_b3, translate_b3_pow
+from nestfock.curve_classes import add_part, create_b3, translate_b3
 from nestfock.fock import B2Key, FockVector, creation, hilb_creation, translate_pow
 from nestfock.incidence import IncidencePair, h_pair, marked_cells
 from nestfock.partitions import Cell, Corner, Partition, hook_length, hook_product, remove_part
 from nestfock.ring import star_b1, star_tilde
+
+
+def translate_b3_pow(pair: IncidencePair, j: int) -> IncidencePair:
+    """translate_b3 applied j times."""
+    for _ in range(j):
+        pair = translate_b3(pair)
+    return pair
 
 
 def identity_rows(n: int) -> list[list[Fraction]]:

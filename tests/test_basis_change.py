@@ -33,6 +33,7 @@ from nestfock.basis_change import (
     b1_in_b2,
     b1_translate,
     b2_in_b1,
+    b2_in_b3,
     b3_in_b1,
     b3_in_b2,
     b3_in_b2_matrix,
@@ -68,7 +69,7 @@ from nestfock.fock import (
     translate,
 )
 from nestfock.incidence import IncidencePair, h_pair, h_plus
-from nestfock.partitions import Partition, dominance_le, hook_product, z_factor
+from nestfock.partitions import Partition, dominance_le, hook_product, remove_part, z_factor
 from nestfock.ring import star_tilde
 
 P = Partition
@@ -184,6 +185,35 @@ class TestCurveInOperator:
             mat = b3_in_b2_matrix(n)
             inv = mat_inv([list(r) for r in mat.rows])
             assert mat_mul([list(r) for r in mat.rows], inv) == identity_rows(len(inv))
+
+    def test_a_and_its_inverse_are_triangular_at_the_pivots(self):
+        """Pair (lam, mu) of value i pivots at (i, lam less one part i), or (0, lam) if i = 0.
+
+        The pivots are a bijection onto the operator keys.  Row P of A ends at
+        its pivot column with entry 1/prod m_j(nu)!, and column P of A^-1 = b2_in_b3
+        starts at its pivot row with entry prod m_j(nu)!, both in operator-key order.
+        """
+        rows = cols = 0
+        for n in range(11):
+            keys, pairs = operator_keys(n), pair_keys(n)
+            index = {k: j for j, k in enumerate(keys)}
+            pivot = [
+                index[key(p.value, remove_part(p.lam, p.value) if p.value else p.lam)] for p in pairs
+            ]
+            assert sorted(pivot) == list(range(len(keys)))
+            weight = [math.prod(map(math.factorial, map(k.nu.count, set(k.nu)))) for k in keys]
+            a, inverse = b3_in_b2_matrix(n), b2_in_b3(n)
+            assert (a.row_keys, a.col_keys, inverse.row_keys) == (pairs, keys, keys)
+            for piv, (row, d) in zip(pivot, a.int_rows):
+                assert max(j for j, _ in row) == piv
+                assert Fraction(dict(row)[piv], d) == Fraction(1, weight[piv])
+                rows += 1
+            for i, (row, d) in enumerate(inverse.int_rows):
+                for j, x in row:
+                    assert i >= pivot[j], (n, keys[i], pairs[j])
+                    assert i > pivot[j] or Fraction(x, d) == weight[i]
+                    cols += 1
+        assert (rows, cols) == (423, 8693)
 
 
 class TestGram:

@@ -2,14 +2,13 @@ from math import factorial
 
 import pytest
 
-from oracles import create_b3_uncorrected, nakajima_L_explicit
+from oracles import create_b3_uncorrected, nakajima_L_explicit, translate_b3_pow
 from nestfock.curve_classes import (
     add_part,
     create_b3,
     nakajima_L,
     translate_b3,
     translate_b3_linear,
-    translate_b3_pow,
 )
 from nestfock.fock import FockVector
 from nestfock.incidence import IncidencePair, enumerate_incidence_pairs

@@ -16,7 +16,9 @@ from nestfock.incidence import (
     tangent_weights_hilbert,
     tangent_weights_incidence,
 )
-from nestfock.partitions import Cell, Partition, enumerate_partitions, hook_product, step_length
+from nestfock.partitions import (
+    Cell, Partition, canonical_generators, enumerate_partitions, hook_product, step_length,
+)
 from oracles import marked_product
 
 P = Partition
@@ -112,6 +114,13 @@ class TestMarkedCells:
         assert k_index(pr([1], [2])) == 0
         assert k_index(pr([1], [1, 1])) == 1
         assert k_index(pr([1, 1], [2, 1])) == 0
+
+    def test_k_index_is_the_corner_search(self):
+        # the index of the canonical generator whose cell the pair adds
+        for n in range(11):
+            for p in enumerate_incidence_pairs(n):
+                corners = canonical_generators(p.lam)
+                assert k_index(p) == next(c.index for c in corners if c.cell == p.added_cell)
 
     def test_spot_cells(self):
         mc = marked_cells(pr([1, 1], [2, 1]))

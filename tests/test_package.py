@@ -95,3 +95,33 @@ def test_a_module_runs_on_first_use():
     first, second = out.splitlines()
     assert first == "['nestfock'] True"
     assert "'nestfock.ring'" in second and "'nestfock.verify'" not in second
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("ring", "star_b1"), ("symfunc", "phi"), ("verify", "run_suite"), ("basis_change", "pair_keys")],
+)
+def test_first_use_from_many_threads_sees_the_whole_module(module, name):
+    # the first read runs the module's code once; the other threads wait for it
+    out = run_probe(
+        "import sys, threading\n"
+        "import nestfock\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "barrier, errors = threading.Barrier(8, timeout=60), []\n"
+        "def read(i):\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        if i % 2:\n"
+        f"            nestfock.{module}.{name}\n"
+        "        else:\n"
+        f"            from nestfock.{module} import {name}\n"
+        "    except Exception as exc:\n"
+        "        errors.append(repr(exc))\n"
+        "threads = [threading.Thread(target=read, args=(i,), daemon=True) for i in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(60)\n"
+        "print(errors, 'running:', sum(t.is_alive() for t in threads))\n"
+    )
+    assert out == "[] running: 0\n"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from nestfock.partitions import (
     Cell,
     Partition,
-    add_corner,
     canonical_generators,
     dominance_le,
     enumerate_partitions,
@@ -19,6 +18,7 @@ from nestfock.partitions import (
     step_length,
     z_factor,
 )
+from nestfock.incidence import enumerate_incidence_pairs
 from oracles import addable_corners
 
 P = Partition
@@ -223,20 +223,16 @@ class TestCanonicalGenerators:
         assert len(corners) == 1 and corners[0].cell == Cell(0, 0)
 
     def test_corners_are_addable(self):
+        # the corners, in order, are the cells that the incidence pairs of lam add
         for n in range(9):
-            for lam in enumerate_partitions(n):
+            added: dict = {}
+            for p in enumerate_incidence_pairs(n):
+                added.setdefault(p.lam, []).append(p.added_cell)
+            assert list(added) == enumerate_partitions(n)
+            for lam, cells in added.items():
                 corners = canonical_generators(lam)
                 assert len(corners) == step_length(lam) + 1
-                grown = set()
-                for c in corners:
-                    mu = add_corner(lam, c.cell)
-                    assert mu.size == n + 1
-                    grown.add(mu)
-                    if c.cell.col == 0:
-                        assert mu.multiplicity(1) == lam.multiplicity(1) + 1
-                    else:
-                        assert mu.multiplicity(c.cell.col + 1) == lam.multiplicity(c.cell.col + 1) + 1
-                assert len(grown) == len(corners)
+                assert [c.cell for c in corners] == cells
 
     def test_memoized_corners_are_a_tuple_equal_to_the_diagram_oracle(self):
         for n in range(9):
@@ -244,9 +240,3 @@ class TestCanonicalGenerators:
                 corners = canonical_generators(lam)
                 assert type(corners) is tuple
                 assert list(corners) == addable_corners(lam)
-
-    def test_add_corner_rejects_non_corner(self):
-        with pytest.raises(ValueError):
-            add_corner(P([2, 1]), Cell(0, 0))
-        with pytest.raises(ValueError):
-            add_corner(P([2, 1]), Cell(2, 1))

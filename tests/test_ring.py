@@ -14,8 +14,9 @@ from nestfock.basis_change import (
     pair_keys,
 )
 from nestfock.fock import B2Key, FockVector, pair_b1, pair_b2, pair_hilb_fixed
-from nestfock.incidence import IncidencePair
-from nestfock.partitions import Partition, enumerate_partitions, hook_product
+from nestfock.curve_classes import add_part
+from nestfock.incidence import IncidencePair, derive_lambda, h_pair
+from nestfock.partitions import Partition, canonical_generators, enumerate_partitions, hook_product
 from conftest import clear_memos
 from oracles import product_table_by_pairs
 from nestfock.ring import (
@@ -251,6 +252,18 @@ class TestPullbacks:
         got = pullback_g(half * U(P([2])) - half * U(P([1, 1])))
         assert got == U(pr([1], [2])) - U(pr([1], [1, 1]))
         assert got == 2 * b2_in_b1(1).apply(U(key(1, [])))
+
+    def test_partners_are_those_of_the_corners_and_of_the_parts(self):
+        # the key-book partners against the construction from mu alone: f adds each
+        # corner (raises one part c, or appends a part 1), g lowers each distinct part
+        for size in range(9):
+            for mu in enumerate_partitions(size):
+                h2 = hook_product(mu) ** 2
+                f = {IncidencePair(mu, add_part(mu, c.cell.col, 1)) for c in canonical_generators(mu)}
+                assert set(ring._pullback_image(mu, True)) == {(p, -Fraction(h2, h_pair(p))) for p in f}
+                if size:  # g starts from one point at least
+                    g = {IncidencePair(derive_lambda(mu, i), mu) for i in set(mu)}
+                    assert set(ring._pullback_image(mu, False)) == {(p, Fraction(h2, h_pair(p))) for p in g}
 
     def test_pullback_g_rejects_empty(self):
         with pytest.raises(ValueError):

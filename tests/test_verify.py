@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_memos
-from oracles import product_table_by_pairs
+from oracles import product_table_by_pairs, translate_b3_pow
 from nestfock import basis_change, cli, fock, ring, symfunc, verify
 from nestfock.basis_change import (
     TransitionMatrix,
@@ -26,7 +26,7 @@ from nestfock.basis_change import (
     partition_keys,
     pair_keys,
 )
-from nestfock.curve_classes import add_part, create_b3, translate_b3_pow
+from nestfock.curve_classes import add_part, create_b3
 from nestfock.fock import B2Key, FockVector, loop_action
 from nestfock.incidence import IncidencePair, h_pair
 from nestfock.partitions import Partition, z_factor
