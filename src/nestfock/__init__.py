@@ -3,9 +3,9 @@ equivariant cohomology of incidence Hilbert schemes of the plane.
 
 Importing the package runs none of its modules.  Each submodule is
 registered lazily: it is in ``sys.modules`` at once, and its code runs
-on the first read of one of its attributes.  The names re-exported here
-resolve on first use (PEP 562), so a command pays only for the modules
-it uses.
+on the first read, assignment or deletion of an attribute.  The names
+re-exported here resolve on first use (PEP 562), so a command pays only
+for the modules it uses.
 """
 
 import sys
@@ -53,18 +53,26 @@ __all__ = sorted([*_EXPORTS, *(name for names in _EXPORTS.values() for name in n
 _LOAD_LOCK, _RUNNING = RLock(), set()
 
 
-class _Lazy(ModuleType):
-    """A registered module whose code runs on the first read of an attribute, once, under
-    the load lock: a read from another thread waits until the module is filled (where
-    ``LazyLoader`` before Python 3.12.3 shows it empty), one from the running code does not."""
-
-    def __getattribute__(self, attr):
+def _on_first_use(method):
+    def use(self, *args):
         with _LOAD_LOCK:
             if type(self) is _Lazy and self not in _RUNNING:
                 _RUNNING.add(self)
                 ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
                 self.__class__ = ModuleType
-            return ModuleType.__getattribute__(self, attr)
+            return method(self, *args)
+    return use
+
+
+class _Lazy(ModuleType):
+    """A registered module whose code runs on the first read, assignment or deletion of an
+    attribute, once, under the load lock: a use from another thread waits until the module
+    is filled (where ``LazyLoader`` before Python 3.12.3 shows it empty), one from the
+    running code does not, and an assignment made before the first read is kept."""
+
+    __getattribute__ = _on_first_use(ModuleType.__getattribute__)
+    __setattr__ = _on_first_use(ModuleType.__setattr__)
+    __delattr__ = _on_first_use(ModuleType.__delattr__)
 
 
 # every module but cli, the entry point, which runs when it is imported

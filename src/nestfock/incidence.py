@@ -9,8 +9,8 @@ equivariant Euler classes of the full tangent space and of its
 positive part.
 
 Two routes to the Euler class share only hook lengths: the closed forms
-h_pair = h(lam) h(mu) and h_plus, and the tangent weights that
-tangent_weights_incidence assembles from the marked cells.
+h_pair = h(lam) h(mu) and h_plus, and the relative hooks (arm or leg
+taken in mu) that tangent_weights_incidence lists as tangent weights.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class IncidencePair(tuple):
 
 
 class MarkedCells(NamedTuple):
-    """Marked cells of an incidence pair.
+    """Marked cells of an incidence pair; public, and serves the test oracles.
 
     ``k`` is the index of the corner of lam added by mu; ``sq`` and
     ``sqp`` map each other corner index j to its marked cells, both
@@ -120,13 +120,13 @@ def derive_lambda(mu: Partition, i: int) -> Partition:
 
 
 def k_index(pair: IncidencePair) -> int:
-    """Index of the canonical generator of lam at the added corner: the
-    number of distinct parts of lam greater than the value."""
+    """Index of the canonical generator of lam at the added corner (public, serves the
+    test oracles): the number of distinct parts of lam greater than the value."""
     return sum(v > pair.value for v in set(pair.lam))
 
 
 def marked_cells(pair: IncidencePair) -> MarkedCells:
-    """Marked cells sq[j], sqp[j] of the pair, for every corner j != k.
+    """Marked cells sq[j], sqp[j] for every corner j != k; public, serves the test oracles.
 
     For j < k the cells sit in the column of corner k at the rows of
     corner j and of the last row of that part block; for j > k they
@@ -186,56 +186,21 @@ def tangent_weights_hilbert(lam: Partition) -> list[int]:
 
 
 def tangent_weights_incidence(pair: IncidencePair) -> list[int]:
-    """Tangent weight multiset of the incidence Hilbert scheme at the pair.
+    """Tangent weight multiset of the incidence Hilbert scheme at the pair, sorted.
 
-    Assembled from the weight multiset of the n-point tangent space
-    plus the weights of an explicit kernel basis, minus the weights of
-    the homomorphism classes eliminated by the connecting map.  The
-    four boundary cases are classified by whether the vertical gap p_k
-    and horizontal gap q_k at the added corner equal 1; undefined gaps
-    (q at the first corner, p at the last) count as infinite.
-
-    Kernel weights: -1-hook(sq[j]) for j < k, then one or two unit
-    weights depending on the case, then +1+hook(sq[j]) for j > k.
-    Removed weights: -hook(sqp[j]) on the left, +hook(sqp[j]) on the
-    right, over case-dependent index ranges.  Cardinality is always
-    2(n+1).
+    The weights 1 and -1 and, for each cell (r, c) of lam, its hook with the arm
+    taken in mu and minus its hook with the leg taken in mu.  A checked identity
+    (on every pair with n <= 12, against the marked-cell assembly): as characters of
+    the anti-diagonal torus, T(lam, mu) = T(lam) + T(mu) + 1 - E(lam, mu), with T the
+    n-point tangent spaces and E the arm-leg character of chi(O, O) - chi(I_lam, I_mu)
+    (Carlsson and Okounkov, Duke Math. J. 161, 2012); the terms cancel cell by cell,
+    and the one weight 0 of E, at the added cell, cancels the trivial character.
     """
-    lam = pair.lam
-    corners = canonical_generators(lam)
-    m = len(corners) - 1
-    mc = marked_cells(pair)
-    k = mc.k
-    p1, q1 = corners[k].p == 1, corners[k].q == 1
-
-    if q1 and not p1:  # case 1a
-        units = [1]
-        left_max, right_min = k - 2, k + 1
-    elif p1 and not q1:  # case 1b
-        units = [-1]
-        left_max, right_min = k - 1, k + 2
-    elif not p1 and not q1:  # case 2
-        units = [-1, 1]
-        left_max, right_min = k - 1, k + 1
-    else:  # case 3: p_k = q_k = 1
-        units = []
-        left_max, right_min = k - 2, k + 2
-
-    weights = tangent_weights_hilbert(lam)
-    weights += [-1 - hook_length(lam, mc.sq[j]) for j in range(k)]
-    weights += units
-    weights += [1 + hook_length(lam, mc.sq[j]) for j in range(k + 1, m + 1)]
-
-    removed = [-hook_length(lam, mc.sqp[j]) for j in range(0, left_max + 1)]
-    removed += [hook_length(lam, mc.sqp[j]) for j in range(right_min, m + 1)]
-    for w in removed:
-        try:
-            weights.remove(w)
-        except ValueError:
-            raise RuntimeError(f"weight {w} to remove is absent for {pair}") from None
-
-    if len(weights) != 2 * (pair.n + 1):
-        raise RuntimeError(f"weight count {len(weights)} != {2 * (pair.n + 1)} for {pair}")
+    lam, mu = pair
+    lam_t, mu_t = lam.conjugate(), mu.conjugate()
+    weights = [1, -1]
+    for r, c in lam.cells():
+        weights += [mu[r] - c + lam_t[c] - r - 1, -(lam[r] - c + mu_t[c] - r - 1)]
     return sorted(weights)
 
 

@@ -1,14 +1,17 @@
 """Brute-force oracles that the fast routes of the package are tested against."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 from nestfock.basis_change import TransitionMatrix, operator_keys, pair_keys
 from nestfock.curve_classes import add_part, create_b3, translate_b3
 from nestfock.fock import B2Key, FockVector, creation, hilb_creation, translate_pow
-from nestfock.incidence import IncidencePair, h_pair, marked_cells
-from nestfock.partitions import Cell, Corner, Partition, hook_length, hook_product, remove_part
+from nestfock.incidence import IncidencePair, h_pair, marked_cells, tangent_weights_hilbert
+from nestfock.partitions import (
+    Cell, Corner, Partition, canonical_generators, hook_length, hook_product, remove_part,
+)
 from nestfock.ring import star_b1, star_tilde
 
 
@@ -193,6 +196,79 @@ def marked_product(pair: IncidencePair, power: int, above_k_only: bool) -> int:
     if num % den or num <= 0:
         raise ArithmeticError(f"{Fraction(num, den)} is not a positive integer for {pair}")
     return num // den
+
+
+def tangent_weights_marked(pair: IncidencePair) -> list[int]:
+    """Tangent weight multiset of the incidence Hilbert scheme at the pair.
+
+    Assembled from the weight multiset of the n-point tangent space
+    plus the weights of an explicit kernel basis, minus the weights of
+    the homomorphism classes eliminated by the connecting map.  The
+    four boundary cases are classified by whether the vertical gap p_k
+    and horizontal gap q_k at the added corner equal 1; undefined gaps
+    (q at the first corner, p at the last) count as infinite.
+
+    Kernel weights: -1-hook(sq[j]) for j < k, then one or two unit
+    weights depending on the case, then +1+hook(sq[j]) for j > k.
+    Removed weights: -hook(sqp[j]) on the left, +hook(sqp[j]) on the
+    right, over case-dependent index ranges.  Cardinality is always
+    2(n+1).
+    """
+    lam = pair.lam
+    corners = canonical_generators(lam)
+    m = len(corners) - 1
+    mc = marked_cells(pair)
+    k = mc.k
+    p1, q1 = corners[k].p == 1, corners[k].q == 1
+
+    if q1 and not p1:  # case 1a
+        units = [1]
+        left_max, right_min = k - 2, k + 1
+    elif p1 and not q1:  # case 1b
+        units = [-1]
+        left_max, right_min = k - 1, k + 2
+    elif not p1 and not q1:  # case 2
+        units = [-1, 1]
+        left_max, right_min = k - 1, k + 1
+    else:  # case 3: p_k = q_k = 1
+        units = []
+        left_max, right_min = k - 2, k + 2
+
+    weights = tangent_weights_hilbert(lam)
+    weights += [-1 - hook_length(lam, mc.sq[j]) for j in range(k)]
+    weights += units
+    weights += [1 + hook_length(lam, mc.sq[j]) for j in range(k + 1, m + 1)]
+
+    removed = [-hook_length(lam, mc.sqp[j]) for j in range(0, left_max + 1)]
+    removed += [hook_length(lam, mc.sqp[j]) for j in range(right_min, m + 1)]
+    for w in removed:
+        try:
+            weights.remove(w)
+        except ValueError:
+            raise RuntimeError(f"weight {w} to remove is absent for {pair}") from None
+
+    if len(weights) != 2 * (pair.n + 1):
+        raise RuntimeError(f"weight count {len(weights)} != {2 * (pair.n + 1)} for {pair}")
+    return sorted(weights)
+
+
+def tangent_weights_character(pair: IncidencePair) -> list[int]:
+    """T(lam) + T(mu) + 1 - E(lam, mu) as a multiset of anti-diagonal torus weights, sorted.
+
+    T is the n-point tangent weight multiset and E(lam, mu) the arm-leg character of
+    chi(O, O) - chi(I_lam, I_mu): a(lam) + l(mu) + 1 on the cells of lam and
+    -(a(mu) + l(lam) + 1) on the cells of mu, arms and legs read with zero padding.
+    """
+    lam, mu = pair
+    part = lambda nu, i: nu[i] if i < len(nu) else 0
+    hook = lambda arm_in, leg_in, r, c: part(arm_in, r) - c + part(leg_in.conjugate(), c) - r - 1
+    ext = Counter(hook(lam, mu, r, c) for r, c in lam.cells())
+    ext.update(-hook(mu, lam, r, c) for r, c in mu.cells())
+    weights = Counter(tangent_weights_hilbert(lam) + tangent_weights_hilbert(mu) + [0])
+    weights.subtract(ext)
+    if any(m < 0 for m in weights.values()):
+        raise ArithmeticError(f"E(lam, mu) is not inside T(lam) + T(mu) + 1 for {pair}")
+    return sorted(weights.elements())
 
 
 def product_table_by_pairs(basis: str, n: int, lefts, rights) -> list:

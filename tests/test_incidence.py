@@ -19,7 +19,7 @@ from nestfock.incidence import (
 from nestfock.partitions import (
     Cell, Partition, canonical_generators, enumerate_partitions, hook_product, step_length,
 )
-from oracles import marked_product
+from oracles import marked_product, tangent_weights_character, tangent_weights_marked
 
 P = Partition
 
@@ -197,9 +197,11 @@ class TestEulerClass:
         assert prod == 2
 
     def test_oracle_agreement(self):
-        for n in range(7):
+        for n in range(13):
             for p in enumerate_incidence_pairs(n):
                 weights = tangent_weights_incidence(p)
+                assert weights == tangent_weights_marked(p), p
+                assert weights == tangent_weights_character(p), p
                 assert len(weights) == 2 * (n + 1)
                 prod, pos = 1, 1
                 for w in weights:

@@ -125,3 +125,15 @@ def test_first_use_from_many_threads_sees_the_whole_module(module, name):
         "print(errors, 'running:', sum(t.is_alive() for t in threads))\n"
     )
     assert out == "[] running: 0\n"
+
+
+def test_an_assignment_before_the_first_read_is_kept():
+    # the assignment runs the module's code first, so the first read does not undo it
+    out = run_probe(
+        "import sys, types\n"
+        "from nestfock import ring, symfunc\n"
+        "ring.star_b1 = 'patched'\n"
+        "del symfunc.phi\n"
+        "print(ring.star_b1, hasattr(symfunc, 'phi'), type(sys.modules['nestfock.ring']) is types.ModuleType)\n"
+    )
+    assert out == "patched False True\n"

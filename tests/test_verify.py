@@ -28,7 +28,7 @@ from nestfock.basis_change import (
 )
 from nestfock.curve_classes import add_part, create_b3
 from nestfock.fock import B2Key, FockVector, loop_action
-from nestfock.incidence import IncidencePair, h_pair
+from nestfock.incidence import EulerClass, IncidencePair, euler_class, h_pair, h_plus
 from nestfock.partitions import Partition, z_factor
 from nestfock.ring import pullback_f, pullback_g
 from nestfock.symfunc import m_in_p
@@ -61,6 +61,45 @@ class TestSuiteHooks:
         assert not by_lam.ok and not by_mu.ok
         assert [f["lambda"] for f in json.loads(by_lam.detail)] == [bumped.lam.as_list()]
         assert [f["mu"] for f in json.loads(by_mu.detail)] == [bumped.mu.as_list()]
+
+
+class TestSuiteEuler:
+    """Each mutant at n <= 3 fails only the check that reads it, and names its pair."""
+
+    def test_bumped_h_plus_fails_only_the_positive_product(self, monkeypatch):
+        bumped = pair_keys(3)[-1]
+        monkeypatch.setattr(verify, "h_plus", lambda p: h_plus(p) + (p == bumped))
+        full, pos = verify.suite_euler(3)
+        assert full.ok and not pos.ok
+        assert [f["pair"] for f in json.loads(pos.detail)] == [bumped.as_json_obj()]
+
+    def test_bumped_euler_magnitude_fails_only_the_full_product(self, monkeypatch):
+        bumped = pair_keys(3)[-1]
+
+        def bumped_class(p):
+            sign, mag, t_exp = euler_class(p)
+            return EulerClass(sign, mag + (p == bumped), t_exp)
+
+        monkeypatch.setattr(verify, "euler_class", bumped_class)
+        full, pos = verify.suite_euler(3)
+        assert pos.ok and not full.ok
+        expected = {"pair": bumped.as_json_obj(), "product": 144, "expected": 145}
+        assert json.loads(full.detail) == [expected]
+
+    def test_arm_and_leg_swapped_fails_only_the_positive_product(self, monkeypatch):
+        def swapped(pair):
+            lam, mu = pair
+            lam_t, mu_t = lam.conjugate(), mu.conjugate()
+            weights = [1, -1]
+            for r, c in lam.cells():
+                weights += [lam[r] - c + mu_t[c] - r - 1, -(mu[r] - c + lam_t[c] - r - 1)]
+            return sorted(weights)
+
+        monkeypatch.setattr(verify, "tangent_weights_incidence", swapped)
+        full, pos = verify.suite_euler(3)
+        assert full.ok and not pos.ok
+        first = json.loads(pos.detail)[0]
+        assert first == {"pair": {"lambda": [1], "mu": [2]}, "positive": 1, "expected": 2}
 
 
 # the checks each suite reports at --max-n 2, in order
