@@ -26,13 +26,13 @@ _EXPORTS = {
         "loop_action", "pair_b1", "pair_b2", "pair_hilb_fixed", "pair_hilb_p", "translate",
     ),
     "incidence": (
-        "IncidencePair", "betti_from_fixed_points", "betti_series", "derive_lambda",
-        "enumerate_incidence_pairs", "euler_class", "h_pair", "h_plus", "k_index",
-        "marked_cells", "tangent_weights_hilbert", "tangent_weights_incidence",
+        "IncidencePair", "betti_from_fixed_points", "betti_series",
+        "enumerate_incidence_pairs", "euler_class", "h_pair", "h_plus",
+        "tangent_weights_hilbert", "tangent_weights_incidence",
     ),
     "partitions": (
-        "Cell", "Corner", "Partition", "canonical_generators", "dominance_le",
-        "enumerate_partitions", "hook_length", "hook_product", "step_length", "z_factor",
+        "Cell", "Partition", "dominance_le", "enumerate_partitions", "hook_length",
+        "hook_product", "step_length", "z_factor",
     ),
     "ring": (
         "OrdinaryClass", "ordinary_cup", "ordinary_unit", "pullback_f", "pullback_g",

@@ -11,6 +11,8 @@ positive part.
 Two routes to the Euler class share only hook lengths: the closed forms
 h_pair = h(lam) h(mu) and h_plus, and the relative hooks (arm or leg
 taken in mu) that tangent_weights_incidence lists as tangent weights.
+The paper's marked cells, which both closed forms replace, are built by
+the test oracle ``tests/oracles.py::marked_cells``.
 """
 
 from __future__ import annotations
@@ -21,17 +23,7 @@ from math import prod
 from operator import itemgetter
 from typing import NamedTuple
 
-from .partitions import (
-    Cell,
-    Partition,
-    canonical_generators,
-    hook_length,
-    hook_product,
-    insert_part,
-    partition_keys,
-    remove_part,
-    step_length,
-)
+from .partitions import Cell, Partition, hook_length, hook_product, partition_keys, step_length
 
 
 class IncidencePair(tuple):
@@ -77,19 +69,6 @@ class IncidencePair(tuple):
         return f"IncidencePair({list(self.lam)}, {list(self.mu)})"
 
 
-class MarkedCells(NamedTuple):
-    """Marked cells of an incidence pair; public, and serves the test oracles.
-
-    ``k`` is the index of the corner of lam added by mu; ``sq`` and
-    ``sqp`` map each other corner index j to its marked cells, both
-    inside the diagram of lam.
-    """
-
-    k: int
-    sq: dict[int, Cell]
-    sqp: dict[int, Cell]
-
-
 class EulerClass(NamedTuple):
     sign: int
     magnitude: int
@@ -109,47 +88,6 @@ def enumerate_incidence_pairs(n: int) -> list[IncidencePair]:
     return out
 
 
-def derive_lambda(mu: Partition, i: int) -> Partition:
-    """Replace one part i of mu by i-1 (drop it when i = 1)."""
-    if i < 1 or mu.multiplicity(i) == 0:
-        raise ValueError(f"{mu} has no part {i}")
-    lam = remove_part(mu, i)
-    if i > 1:
-        lam = insert_part(lam, i - 1)
-    return lam
-
-
-def k_index(pair: IncidencePair) -> int:
-    """Index of the canonical generator of lam at the added corner (public, serves the
-    test oracles): the number of distinct parts of lam greater than the value."""
-    return sum(v > pair.value for v in set(pair.lam))
-
-
-def marked_cells(pair: IncidencePair) -> MarkedCells:
-    """Marked cells sq[j], sqp[j] for every corner j != k; public, serves the test oracles.
-
-    For j < k the cells sit in the column of corner k at the rows of
-    corner j and of the last row of that part block; for j > k they
-    sit in the row of corner k at the columns of corner j and of the
-    right end of that column block.  sqp[j] = sq[j] when the gap
-    (p_j for j < k, q_j for j > k) is 1.
-    """
-    corners = canonical_generators(pair.lam)
-    k = k_index(pair)
-    ck = corners[k].cell
-    sq: dict[int, Cell] = {}
-    sqp: dict[int, Cell] = {}
-    for corner in corners:
-        j = corner.index
-        if j < k:
-            sq[j] = Cell(corner.cell.row, ck.col)
-            sqp[j] = Cell(corner.cell.row + corner.p - 1, ck.col)
-        elif j > k:
-            sq[j] = Cell(ck.row, corner.cell.col)
-            sqp[j] = Cell(ck.row, corner.cell.col + corner.q - 1)
-    return MarkedCells(k, sq, sqp)
-
-
 @lru_cache(maxsize=None)
 def h_pair(pair: IncidencePair) -> int:
     """h(lam, mu) = h(lam) h(mu): the paper's marked-cell product in closed form.
@@ -157,7 +95,9 @@ def h_pair(pair: IncidencePair) -> int:
     Adding the corner (r, c) raises by one only the hooks of the c cells of lam left
     of it and the r cells above it, so h(mu)/h(lam) = prod (h + 1)/h over those hooks
     of lam (Frame, Robinson and Thrall).  Along a block of equal parts (or columns)
-    they are consecutive, so it telescopes to prod_{j != k} (1 + hook(sq[j]))/hook(sqp[j]).
+    they are consecutive, so it telescopes to prod_{j != k} (1 + hook(sq[j]))/hook(sqp[j])
+    over the other corners j, with the marked cells sq[j] and sqp[j] of the corner k
+    that mu adds, as ``tests/oracles.py::marked_cells`` builds them.
     """
     return hook_product(pair.lam) * hook_product(pair.mu)
 

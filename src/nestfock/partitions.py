@@ -7,6 +7,10 @@ z-direction and columns in the w-direction.
 
 ``character`` lives here, not in ``symfunc`` (which imports
 ``basis_change``), because ``basis_change`` builds the fixed classes from it.
+
+The addable corners and the paper's marked cells on them are not built
+here: the engine reads the corners off the rows of a diagram, and the
+marked-cell construction is the test oracle ``tests/oracles.py::marked_cells``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import zip_longest
 from math import factorial
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple
 
 
 class Cell(NamedTuple):
@@ -57,10 +61,6 @@ class Partition(tuple):
 
     multiplicity = tuple.count
 
-    def distinct_parts(self) -> tuple[int, ...]:
-        """Distinct part values in descending order."""
-        return tuple(sorted(set(self), reverse=True))
-
     @lru_cache(maxsize=None)
     def conjugate(self) -> "Partition":
         if not self:
@@ -85,20 +85,6 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
-
-
-class Corner(NamedTuple):
-    """Addable corner of a Young diagram.
-
-    ``p`` is the vertical gap to the next corner below (None for the
-    last corner), ``q`` the horizontal gap to the previous corner
-    (None for the first corner).
-    """
-
-    index: int
-    cell: Cell
-    p: Optional[int]
-    q: Optional[int]
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -172,30 +158,6 @@ def dominance_le(lam1: Partition, lam2: Partition) -> bool:
         if s1 > s2:
             return False
     return True
-
-
-@lru_cache(maxsize=None)
-def canonical_generators(lam: Partition) -> tuple[Corner, ...]:
-    """Addable corners of the diagram, top-right to bottom-left.
-
-    Corner j sits at row p_0+...+p_{j-1} and column equal to the j-th
-    largest distinct part value (column 0 for the last corner), where
-    p_j is the multiplicity of the j-th largest distinct value.  There
-    are always step_length(lam)+1 corners; the empty partition has the
-    single corner (0, 0).
-    """
-    values = lam.distinct_parts()
-    m = len(values)
-    rows = [0]
-    for v in values:
-        rows.append(rows[-1] + lam.multiplicity(v))
-    cols = list(values) + [0]
-    corners = []
-    for j in range(m + 1):
-        p = lam.multiplicity(values[j]) if j < m else None
-        q = cols[j - 1] - cols[j] if j >= 1 else None
-        corners.append(Corner(j, Cell(rows[j], cols[j]), p, q))
-    return tuple(corners)
 
 
 @lru_cache(maxsize=None)

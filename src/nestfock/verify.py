@@ -31,6 +31,7 @@ from .basis_change import (
     b1_cotranslate,
     b1_creation,
     b1_in_b2,
+    b1_in_b3,
     b1_translate,
     b2_in_b1,
     b2_in_b3,
@@ -307,12 +308,7 @@ def suite_pairing(max_n: int = 8) -> list[CheckResult]:
 
 def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
     """Round trips, the shape of M = b3_in_b1 and choice independence of A."""
-    bad = Failures()
-    for n in range(max_n + 1):
-        mat = b1_in_b2(n) @ b2_in_b1(n)
-        if bad.found(mat != transition_matrix("b1", "b1", n), len(mat.row_keys)):
-            bad.append({"degree": n})
-    out = [_result(f"b1_in_b2 * b2_in_b1 = Id, n <= {max_n}", bad)]
+    out = [_round_trip("b1_in_b2 * b2_in_b1", b1_in_b2, b2_in_b1, "b1", max_n)]
 
     # with A Z A^T = M H M^T below this pins M: G has one LDL^T along dominance
     bad = Failures()
@@ -346,13 +342,19 @@ def suite_roundtrip(max_n: int = 8) -> list[CheckResult]:
                 bad.append({"pair": p.as_json_obj()})
     out.append(_result(f"shared-part choice independence, n <= {min(max_n, 6)}", bad))
 
+    out.append(_round_trip("b2_in_b3 * b3_in_b2", b2_in_b3, b3_in_b2_matrix, "b2", max_n))
+    out.append(_round_trip("b1_in_b3 * b3_in_b1", b1_in_b3, b3_in_b1, "b1", max_n))
+    return out
+
+
+def _round_trip(name: str, there, back, basis: str, max_n: int) -> CheckResult:
+    """there(n) @ back(n) is the identity on the basis at every n <= max_n, one case per row."""
     bad = Failures()
     for n in range(max_n + 1):
-        mat = b2_in_b3(n) @ b3_in_b2_matrix(n)
-        if bad.found(mat != transition_matrix("b2", "b2", n), len(mat.row_keys)):
+        mat = there(n) @ back(n)
+        if bad.found(mat != transition_matrix(basis, basis, n), len(mat.row_keys)):
             bad.append({"degree": n})
-    out.append(_result(f"b2_in_b3 * b3_in_b2 = Id, n <= {max_n}", bad))
-    return out
+    return _result(f"{name} = Id, n <= {max_n}", bad)
 
 
 def _misses(mat, a: int, le, diagonal: Fraction) -> list:

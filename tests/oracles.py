@@ -4,14 +4,13 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from nestfock.basis_change import TransitionMatrix, operator_keys, pair_keys
 from nestfock.curve_classes import add_part, create_b3, translate_b3
 from nestfock.fock import B2Key, FockVector, creation, hilb_creation, translate_pow
-from nestfock.incidence import IncidencePair, h_pair, marked_cells, tangent_weights_hilbert
-from nestfock.partitions import (
-    Cell, Corner, Partition, canonical_generators, hook_length, hook_product, remove_part,
-)
+from nestfock.incidence import IncidencePair, h_pair, tangent_weights_hilbert
+from nestfock.partitions import Cell, Partition, hook_length, hook_product, insert_part, remove_part
 from nestfock.ring import star_b1, star_tilde
 
 
@@ -158,6 +157,16 @@ def create_b3_uncorrected(m: int, v: FockVector) -> FockVector:
     return create_b3(m, v) + FockVector(extra)
 
 
+class Corner(NamedTuple):
+    """Addable corner of a Young diagram: ``p`` is the vertical gap to the next corner
+    below (None for the last corner), ``q`` the horizontal gap to the previous corner
+    (None for the first corner)."""
+
+    cell: Cell
+    p: int | None
+    q: int | None
+
+
 def addable_corners(lam: Partition) -> list[Corner]:
     """Addable corners of lam, top-right to bottom-left, read off the diagram.
 
@@ -169,13 +178,47 @@ def addable_corners(lam: Partition) -> list[Corner]:
     cells = [Cell(r, parts[r]) for r in range(len(parts)) if r == 0 or parts[r - 1] > parts[r]]
     return [
         Corner(
-            j,
             cell,
             cells[j + 1].row - cell.row if j + 1 < len(cells) else None,
             cells[j - 1].col - cell.col if j else None,
         )
         for j, cell in enumerate(cells)
     ]
+
+
+def marked_cells(pair: IncidencePair) -> tuple[int, dict[int, Cell], dict[int, Cell]]:
+    """The paper's marked cells (k, sq, sqp) of an incidence pair.
+
+    k is the index of the corner of lam that mu adds; sq and sqp map each
+    other corner index j to its marked cells, both inside the diagram of lam.
+    For j < k the cells sit in the column of corner k at the rows of
+    corner j and of the last row of that part block; for j > k they
+    sit in the row of corner k at the columns of corner j and of the
+    right end of that column block.  sqp[j] = sq[j] when the gap
+    (p_j for j < k, q_j for j > k) is 1.
+    """
+    corners = addable_corners(pair.lam)
+    k = next(j for j, corner in enumerate(corners) if corner.cell == pair.added_cell)
+    ck = corners[k].cell
+    sq: dict[int, Cell] = {}
+    sqp: dict[int, Cell] = {}
+    for j, (cell, p, q) in enumerate(corners):
+        if j < k:
+            sq[j], sqp[j] = Cell(cell.row, ck.col), Cell(cell.row + p - 1, ck.col)
+        elif j > k:
+            sq[j], sqp[j] = Cell(ck.row, cell.col), Cell(ck.row, cell.col + q - 1)
+    return k, sq, sqp
+
+
+def derive_lambda(mu: Partition, i: int) -> Partition:
+    """Replace one part i of mu by i-1 (drop it when i = 1): the lam of the pair (lam, mu)
+    whose added corner ends a row of length i."""
+    if i < 1 or mu.multiplicity(i) == 0:
+        raise ValueError(f"{mu} has no part {i}")
+    lam = remove_part(mu, i)
+    if i > 1:
+        lam = insert_part(lam, i - 1)
+    return lam
 
 
 def marked_product(pair: IncidencePair, power: int, above_k_only: bool) -> int:
@@ -187,12 +230,12 @@ def marked_product(pair: IncidencePair, power: int, above_k_only: bool) -> int:
     is not a positive integer signals a marked-cell bug.
     """
     lam = pair.lam
-    mc = marked_cells(pair)
+    k, sq, sqp = marked_cells(pair)
     num, den = hook_product(lam) ** power, 1
-    for j in mc.sq:
-        if j > mc.k or not above_k_only:
-            num *= 1 + hook_length(lam, mc.sq[j])
-            den *= hook_length(lam, mc.sqp[j])
+    for j in sq:
+        if j > k or not above_k_only:
+            num *= 1 + hook_length(lam, sq[j])
+            den *= hook_length(lam, sqp[j])
     if num % den or num <= 0:
         raise ArithmeticError(f"{Fraction(num, den)} is not a positive integer for {pair}")
     return num // den
@@ -215,10 +258,9 @@ def tangent_weights_marked(pair: IncidencePair) -> list[int]:
     2(n+1).
     """
     lam = pair.lam
-    corners = canonical_generators(lam)
+    corners = addable_corners(lam)
     m = len(corners) - 1
-    mc = marked_cells(pair)
-    k = mc.k
+    k, sq, sqp = marked_cells(pair)
     p1, q1 = corners[k].p == 1, corners[k].q == 1
 
     if q1 and not p1:  # case 1a
@@ -235,12 +277,12 @@ def tangent_weights_marked(pair: IncidencePair) -> list[int]:
         left_max, right_min = k - 2, k + 2
 
     weights = tangent_weights_hilbert(lam)
-    weights += [-1 - hook_length(lam, mc.sq[j]) for j in range(k)]
+    weights += [-1 - hook_length(lam, sq[j]) for j in range(k)]
     weights += units
-    weights += [1 + hook_length(lam, mc.sq[j]) for j in range(k + 1, m + 1)]
+    weights += [1 + hook_length(lam, sq[j]) for j in range(k + 1, m + 1)]
 
-    removed = [-hook_length(lam, mc.sqp[j]) for j in range(0, left_max + 1)]
-    removed += [hook_length(lam, mc.sqp[j]) for j in range(right_min, m + 1)]
+    removed = [-hook_length(lam, sqp[j]) for j in range(0, left_max + 1)]
+    removed += [hook_length(lam, sqp[j]) for j in range(right_min, m + 1)]
     for w in removed:
         try:
             weights.remove(w)

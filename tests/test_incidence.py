@@ -6,20 +6,17 @@ from nestfock.incidence import (
     IncidencePair,
     betti_from_fixed_points,
     betti_series,
-    derive_lambda,
     enumerate_incidence_pairs,
     euler_class,
     h_pair,
     h_plus,
-    k_index,
-    marked_cells,
     tangent_weights_hilbert,
     tangent_weights_incidence,
 )
-from nestfock.partitions import (
-    Cell, Partition, canonical_generators, enumerate_partitions, hook_product, step_length,
+from nestfock.partitions import Cell, Partition, enumerate_partitions, hook_product, step_length
+from oracles import (
+    derive_lambda, marked_cells, marked_product, tangent_weights_character, tangent_weights_marked,
 )
-from oracles import marked_product, tangent_weights_character, tangent_weights_marked
 
 P = Partition
 
@@ -111,31 +108,21 @@ class TestDeriveLambda:
 
 class TestMarkedCells:
     def test_k_index(self):
-        assert k_index(pr([1], [2])) == 0
-        assert k_index(pr([1], [1, 1])) == 1
-        assert k_index(pr([1, 1], [2, 1])) == 0
-
-    def test_k_index_is_the_corner_search(self):
-        # the index of the canonical generator whose cell the pair adds
-        for n in range(11):
-            for p in enumerate_incidence_pairs(n):
-                corners = canonical_generators(p.lam)
-                assert k_index(p) == next(c.index for c in corners if c.cell == p.added_cell)
+        assert marked_cells(pr([1], [2]))[0] == 0
+        assert marked_cells(pr([1], [1, 1]))[0] == 1
+        assert marked_cells(pr([1, 1], [2, 1]))[0] == 0
 
     def test_spot_cells(self):
-        mc = marked_cells(pr([1, 1], [2, 1]))
-        assert mc.k == 0 and mc.sq[1] == Cell(0, 0) and mc.sqp[1] == Cell(0, 0)
-        mc = marked_cells(pr([2], [2, 1]))
-        assert mc.k == 1 and mc.sq[0] == Cell(0, 0) and mc.sqp[0] == Cell(0, 0)
-        mc = marked_cells(pr([2], [3]))
-        assert mc.k == 0 and mc.sq[1] == Cell(0, 0) and mc.sqp[1] == Cell(0, 1)
+        assert marked_cells(pr([1, 1], [2, 1])) == (0, {1: Cell(0, 0)}, {1: Cell(0, 0)})
+        assert marked_cells(pr([2], [2, 1])) == (1, {0: Cell(0, 0)}, {0: Cell(0, 0)})
+        assert marked_cells(pr([2], [3])) == (0, {1: Cell(0, 0)}, {1: Cell(0, 1)})
 
     def test_cells_inside_diagram(self):
         for n in range(9):
             for p in enumerate_incidence_pairs(n):
-                mc = marked_cells(p)
-                for j in mc.sq:
-                    assert mc.sq[j] in p.lam and mc.sqp[j] in p.lam
+                _, sq, sqp = marked_cells(p)
+                for j in sq:
+                    assert sq[j] in p.lam and sqp[j] in p.lam
 
 
 class TestHookProducts:

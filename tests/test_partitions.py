@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from nestfock.partitions import (
     Cell,
     Partition,
-    canonical_generators,
     dominance_le,
     enumerate_partitions,
     hook_length,
@@ -206,20 +205,20 @@ class TestDominance:
 
 class TestCanonicalGenerators:
     def test_staircase_example(self):
-        corners = canonical_generators(P([5, 4, 4, 4, 2, 2]))
+        corners = addable_corners(P([5, 4, 4, 4, 2, 2]))
         assert [(c.cell.row, c.cell.col) for c in corners] == [(0, 5), (1, 4), (4, 2), (6, 0)]
         assert [c.p for c in corners] == [1, 3, 2, None]
         assert [c.q for c in corners] == [None, 1, 2, 2]
 
     def test_single_box(self):
-        corners = canonical_generators(P([1]))
+        corners = addable_corners(P([1]))
         assert [(c.cell, c.p, c.q) for c in corners] == [
             (Cell(0, 1), 1, None),
             (Cell(1, 0), None, 1),
         ]
 
     def test_empty(self):
-        corners = canonical_generators(P([]))
+        corners = addable_corners(P([]))
         assert len(corners) == 1 and corners[0].cell == Cell(0, 0)
 
     def test_corners_are_addable(self):
@@ -230,13 +229,6 @@ class TestCanonicalGenerators:
                 added.setdefault(p.lam, []).append(p.added_cell)
             assert list(added) == enumerate_partitions(n)
             for lam, cells in added.items():
-                corners = canonical_generators(lam)
+                corners = addable_corners(lam)
                 assert len(corners) == step_length(lam) + 1
                 assert [c.cell for c in corners] == cells
-
-    def test_memoized_corners_are_a_tuple_equal_to_the_diagram_oracle(self):
-        for n in range(9):
-            for lam in enumerate_partitions(n):
-                corners = canonical_generators(lam)
-                assert type(corners) is tuple
-                assert list(corners) == addable_corners(lam)

@@ -15,10 +15,10 @@ from nestfock.basis_change import (
 )
 from nestfock.fock import B2Key, FockVector, pair_b1, pair_b2, pair_hilb_fixed
 from nestfock.curve_classes import add_part
-from nestfock.incidence import IncidencePair, derive_lambda, h_pair
-from nestfock.partitions import Partition, canonical_generators, enumerate_partitions, hook_product
+from nestfock.incidence import IncidencePair, h_pair
+from nestfock.partitions import Partition, enumerate_partitions, hook_product
 from conftest import clear_memos
-from oracles import product_table_by_pairs
+from oracles import addable_corners, derive_lambda, product_table_by_pairs
 from nestfock.ring import (
     OrdinaryClass,
     ordinary_cup,
@@ -259,7 +259,7 @@ class TestPullbacks:
         for size in range(9):
             for mu in enumerate_partitions(size):
                 h2 = hook_product(mu) ** 2
-                f = {IncidencePair(mu, add_part(mu, c.cell.col, 1)) for c in canonical_generators(mu)}
+                f = {IncidencePair(mu, add_part(mu, c.cell.col, 1)) for c in addable_corners(mu)}
                 assert set(ring._pullback_image(mu, True)) == {(p, -Fraction(h2, h_pair(p))) for p in f}
                 if size:  # g starts from one point at least
                     g = {IncidencePair(derive_lambda(mu, i), mu) for i in set(mu)}

@@ -14,6 +14,7 @@ from nestfock.basis_change import (
     _gram,
     _translation,
     b1_annihilation,
+    b1_in_b3,
     b2_in_b1,
     b2_in_b3,
     b3_in_b1,
@@ -130,6 +131,7 @@ CHECK_NAMES = {
         "gram consistency A Z A^T = M H M^T, n <= 2",
         "shared-part choice independence, n <= 2",
         "b2_in_b3 * b3_in_b2 = Id, n <= 2",
+        "b1_in_b3 * b3_in_b1 = Id, n <= 2",
     ],
     "phi": [
         "curve classes map to monomial functions, |lam| <= 2",
@@ -191,6 +193,7 @@ CHECK_CASES = {
         ("gram consistency A Z A^T = M H M^T, n <= 3", 14),
         ("shared-part choice independence, n <= 3", 11),
         ("b2_in_b3 * b3_in_b2 = Id, n <= 3", 14),
+        ("b1_in_b3 * b3_in_b1 = Id, n <= 3", 14),
         ("curve classes map to monomial functions, |lam| <= 3", 7),
         ("Hall pairing is z_lam delta, |lam| <= 3", 15),
         ("fixed classes have norm h^2 and image h(lam) m_lam + lower terms, |lam| <= 3", 7),
@@ -224,6 +227,7 @@ CHECK_CASES = {
         ("gram consistency A Z A^T = M H M^T, n <= 8", 187),
         ("shared-part choice independence, n <= 6", 96),
         ("b2_in_b3 * b3_in_b2 = Id, n <= 8", 187),
+        ("b1_in_b3 * b3_in_b1 = Id, n <= 8", 187),
         ("curve classes map to monomial functions, |lam| <= 9", 97),
         ("Hall pairing is z_lam delta, |lam| <= 9", 1819),
         ("fixed classes have norm h^2 and image h(lam) m_lam + lower terms, |lam| <= 8", 67),
@@ -328,8 +332,8 @@ class TestTranslationRule:
     def test_moved_entry_is_caught_at_its_degree(self, degree, monkeypatch):
         """An entry of the translation into degree n moved by 1/1000 breaks B_n.
 
-        The pairing check, the round trip, the triangularity check and the
-        Gram consistency check each fail at that degree and at no other.
+        The pairing check, both round trips through b1, the triangularity check
+        and the Gram consistency check each fail at that degree and at no other.
         """
         t = _translation(degree - 1)
         entries = [(a, j) for a, row in enumerate(t.rows) for j, x in enumerate(row) if x]
@@ -342,8 +346,8 @@ class TestTranslationRule:
                 monkeypatch.setattr(basis_change, "_translation", fake)
                 clear_memos()
                 results = verify.suite_pairing(degree) + verify.suite_roundtrip(degree)
-                assert [r.ok for r in results] == [False, False, False, False, True, True], (a, j)
-                for r in results[:4]:
+                assert [r.ok for r in results] == [False, False, False, False, True, True, False], (a, j)
+                for r in results[:4] + results[6:]:
                     assert {f["degree"] for f in json.loads(r.detail)} == {degree}
         finally:
             monkeypatch.undo()
@@ -358,7 +362,7 @@ class TestTranslationRule:
         """
         want = {  # the result of each check at degree 4
             "heisenberg": [False, False, False],
-            "roundtrip": [False, False, False, True, True],
+            "roundtrip": [False, False, False, True, True, False],
             "diagrams": [False, False, False, False, True, True],
             "ordinary": [False, False, True, True],
         }
@@ -386,7 +390,8 @@ class TestTranslationRule:
 class TestSuiteRoundtrip:
     @pytest.mark.parametrize("n", [2, 3])
     def test_sign_flip_off_the_diagonal_is_caught(self, n, monkeypatch):
-        """M[0][1] -> -M[0][1] keeps diag(M H M^T), so only the full Gram identity sees it."""
+        """M[0][1] -> -M[0][1] keeps diag(M H M^T): of the checks on M alone only the full
+        Gram identity sees it; the round trip with M^-1 does too."""
         mat = b3_in_b1(n)
         rows = [list(r) for r in mat.rows]
         assert rows[0][1]
@@ -396,7 +401,7 @@ class TestSuiteRoundtrip:
         assert all(lhs[a][a] == rhs[a][a] for a in range(len(rows)))
         monkeypatch.setattr(verify, "b3_in_b1", lambda m: flipped if m == n else b3_in_b1(m))
         results = verify.suite_roundtrip(n)
-        assert [r.ok for r in results] == [True, True, False, True, True]
+        assert [r.ok for r in results] == [True, True, False, True, True, False]
         assert results[2].name.startswith("gram consistency A Z A^T = M H M^T")
         failures = json.loads(results[2].detail)
         row, col = mat.row_keys[0].as_json_obj(), mat.col_keys[1].as_json_obj()
@@ -420,7 +425,7 @@ class TestSuiteRoundtrip:
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
     def test_doubled_creation_row_of_the_inverse_is_caught_at_its_degree(self, degree, monkeypatch):
-        """A row (0, nu) of the closed-form A^-1 doubled at one degree fails only the last check there."""
+        """A row (0, nu) of the closed-form A^-1 doubled at one degree fails only the A round trip there."""
         clear_memos()
         try:
             mat = b2_in_b3(degree)
@@ -434,19 +439,31 @@ class TestSuiteRoundtrip:
                     verify, "b2_in_b3", lambda m: doubled if m == degree else b2_in_b3(m)
                 )
                 results = verify.suite_roundtrip(4)
-                assert [r.ok for r in results] == [True, True, True, True, False], k
+                assert [r.ok for r in results] == [True, True, True, True, False, True], k
                 assert results[4].name.startswith("b2_in_b3 * b3_in_b2 = Id")
                 assert json.loads(results[4].detail) == [{"degree": degree}]
         finally:
             monkeypatch.undo()
             clear_memos()
 
+    def test_moved_entry_of_the_inverse_of_m_is_caught_at_its_degree(self, monkeypatch):
+        """An entry of M^-1 = b1_in_b3(3) moved by 1/1000 fails only the M round trip, at degree 3."""
+        mat = b1_in_b3(3)
+        rows = [list(r) for r in mat.rows]
+        rows[0][0] += Fraction(1, 1000)
+        moved = with_rows(mat, rows)
+        monkeypatch.setattr(verify, "b1_in_b3", lambda m: moved if m == 3 else b1_in_b3(m))
+        results = verify.suite_roundtrip(4)
+        assert [r.ok for r in results] == [True, True, True, True, True, False]
+        assert results[5].name == "b1_in_b3 * b3_in_b1 = Id, n <= 4"
+        assert json.loads(results[5].detail) == [{"degree": 3}]
+
     def test_doubled_absorption_term_of_the_curve_recursion_is_caught(self, monkeypatch):
         """The m-fold translate in create_b3 doubled fails the triangular check from degree 1 on.
 
         The absorption term first enters A at degree 1, through the row of
         ([1], [1, 1]), which strips 1 down to the vacuum.  A^-1 reads the same
-        create_b3, so the product of the two is still the identity.
+        create_b3, so both round trips through A still give the identity.
         """
 
         def mutant(m, v):
@@ -456,7 +473,7 @@ class TestSuiteRoundtrip:
         try:
             monkeypatch.setattr(basis_change, "create_b3", mutant)
             results = verify.suite_roundtrip(4)
-            assert [r.ok for r in results] == [True, False, True, True, True]
+            assert [r.ok for r in results] == [True, False, True, True, True, True]
             assert results[1].name.startswith("b3_in_b1 triangular")
             first = json.loads(results[1].detail)[0]
             assert (first["degree"], first["row"]) == (1, {"lambda": [1], "mu": [1, 1]})
@@ -482,7 +499,7 @@ class TestSuiteRoundtrip:
         try:
             monkeypatch.setattr(basis_change, "create_b3", mutant)
             results = verify.suite_roundtrip(6)
-            assert [r.ok for r in results] == [True, True, True, False, True]
+            assert [r.ok for r in results] == [True, True, True, False, True, True]
             assert results[3].name.startswith("shared-part choice independence")
             assert json.loads(results[3].detail) == [{"pair": target.as_json_obj()}]
         finally:
